@@ -10,7 +10,6 @@ from .equivariant import (
     ComponentAlgebra,
     EquivariantElement,
     FixedComponent,
-    GradedPoly,
     LinearForm,
     PolyFraction,
     abbv_integrate,
@@ -22,7 +21,6 @@ from .equivariant import (
 )
 from .ktheory import (
     KFixedPoint,
-    LaurentPoly,
     LaurentRational,
     evaluate_at_one,
     fixed_point_sum,
@@ -31,6 +29,7 @@ from .ktheory import (
     projective_space_dataset,
 )
 from .linalg import AffineSubspace, Matrix
+from .poly import GradedPoly, LaurentPoly
 from .simplicial import (
     CochainComplex,
     CochainPair,

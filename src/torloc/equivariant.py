@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, frac
+from .poly import ArityMismatch, Exponents, GradedPoly
 
 __all__ = [
     "ArityMismatch",
@@ -54,10 +55,6 @@ __all__ = [
 ]
 
 
-class ArityMismatch(Exception):
-    """Operands live over different numbers of parameter variables."""
-
-
 class ZeroWeight(Exception):
     """A normal weight is the zero form, so no Euler denominator exists."""
 
@@ -68,178 +65,6 @@ class NotInvertible(Exception):
 
 class NotProper(Exception):
     """The subtorus is the whole torus; nothing vanishes on all of it."""
-
-
-Exponents = tuple[int, ...]
-
-
-def _glex_key(e: Exponents) -> tuple:
-    return (sum(e), e)
-
-
-class GradedPoly:
-    """Polynomial in r commuting degree-2 variables with exact coefficients.
-
-    Terms map exponent tuples to nonzero Fractions; the zero polynomial
-    has no terms.  Printing uses graded-lex order, highest first.
-    """
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(self, num_vars: int, terms: Mapping[Exponents, object] | None = None):
-        self.num_vars = int(num_vars)
-        clean: dict[Exponents, Fraction] = {}
-        for e, c in (terms or {}).items():
-            ee = tuple(int(x) for x in e)
-            if len(ee) != self.num_vars:
-                raise ArityMismatch(f"exponent {ee} has arity {len(ee)}, not {self.num_vars}")
-            if any(x < 0 for x in ee):
-                raise ValueError("negative exponent in a polynomial")
-            cc = frac(c)
-            if cc:
-                clean[ee] = clean.get(ee, Fraction(0)) + cc
-                if not clean[ee]:
-                    del clean[ee]
-        self.terms = clean
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "GradedPoly":
-        return cls(num_vars, {})
-
-    @classmethod
-    def constant(cls, num_vars: int, c) -> "GradedPoly":
-        return cls(num_vars, {(0,) * num_vars: c})
-
-    @classmethod
-    def variable(cls, num_vars: int, i: int) -> "GradedPoly":
-        e = [0] * num_vars
-        e[i] = 1
-        return cls(num_vars, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, num_vars: int, exps: Sequence[int], c=1) -> "GradedPoly":
-        return cls(num_vars, {tuple(exps): c})
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: "GradedPoly") -> None:
-        if self.num_vars != other.num_vars:
-            raise ArityMismatch(f"{self.num_vars} variables vs {other.num_vars}")
-
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return GradedPoly(self.num_vars, out)
-
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "GradedPoly") -> "GradedPoly":
-        self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return GradedPoly(self.num_vars, out)
-
-    def __pow__(self, n: int) -> "GradedPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = GradedPoly.constant(self.num_vars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def scale(self, c) -> "GradedPoly":
-        c = frac(c)
-        return GradedPoly(self.num_vars, {e: c * v for e, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Top monomial degree (0 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
-
-    def leading_term(self) -> tuple[Exponents, Fraction]:
-        """Highest term in graded-lex order; undefined on zero."""
-        e = max(self.terms, key=_glex_key)
-        return e, self.terms[e]
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integral and coprime; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = math.lcm(den, c.denominator)
-        return Fraction(num, den)
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.num_vars:
-            raise ArityMismatch("evaluation point has wrong arity")
-        ps = [frac(x) for x in point]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(ps, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
-
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _glex_key(t[0]), reverse=True)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e) if k
-            )
-            mag = abs(c)
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"GradedPoly({self})"
 
 
 def try_exact_division(num: GradedPoly, den: GradedPoly) -> GradedPoly | None:
@@ -838,8 +663,8 @@ def invert_localized(e: EquivariantElement) -> EquivariantElement:
     if e.den_factors:
         inv = inv.times_poly(e.denominator_poly())
     check = e * inv
-    assert check.equals(EquivariantElement.unit(e.component, e.num_vars)), \
-        "inversion failed to round-trip"
+    if not check.equals(EquivariantElement.unit(e.component, e.num_vars)):
+        raise RuntimeError("inversion failed to round-trip")
     return inv
 
 

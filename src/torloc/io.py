@@ -16,11 +16,11 @@ from .equivariant import (
     ComponentAlgebra,
     EquivariantElement,
     FixedComponent,
-    GradedPoly,
     LinearForm,
     euler_class,
 )
-from .ktheory import KFixedPoint, LaurentPoly
+from .ktheory import KFixedPoint
+from .poly import GradedPoly, LaurentPoly
 from .simplicial import (
     CochainPair,
     SimplicialComplex,
@@ -38,11 +38,9 @@ __all__ = [
     "parse_pair_input",
     "parse_class_spec",
     "parse_poly",
-    "parse_laurent",
     "parse_algebra",
     "parse_abbv_input",
     "parse_ktheory_input",
-    "fraction_str",
 ]
 
 
@@ -66,6 +64,8 @@ def load_json(path: str):
             return json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
@@ -205,23 +205,14 @@ def _parse_exponents(key: str, num_vars: int, where: str, allow_negative: bool) 
     return exps
 
 
-def parse_poly(obj, num_vars: int, where: str = "poly") -> GradedPoly:
-    """Polynomial from {'<e1,e2,...>': coeff, ...}."""
+def parse_poly(cls: type[LaurentPoly], obj, num_vars: int, where: str) -> LaurentPoly:
+    """Polynomial of class ``cls`` from {'<e1,e2,...>': coeff, ...}."""
     obj = _expect_object(obj, where)
     terms = {}
     for key, val in obj.items():
-        e = _parse_exponents(key, num_vars, where, allow_negative=False)
+        e = _parse_exponents(key, num_vars, where, cls.negative_exponents)
         terms[e] = exact_number(val, f"{where}[{key!r}]")
-    return GradedPoly(num_vars, terms)
-
-
-def parse_laurent(obj, num_vars: int, where: str = "laurent") -> LaurentPoly:
-    obj = _expect_object(obj, where)
-    terms = {}
-    for key, val in obj.items():
-        e = _parse_exponents(key, num_vars, where, allow_negative=True)
-        terms[e] = exact_number(val, f"{where}[{key!r}]")
-    return LaurentPoly(num_vars, terms)
+    return cls(num_vars, terms)
 
 
 def parse_algebra(obj, where: str = "algebra") -> ComponentAlgebra:
@@ -257,7 +248,7 @@ def _parse_restriction(obj, algebra: ComponentAlgebra, fc: FixedComponent, where
         return euler_class(fc)
     obj = _expect_object(obj, where)
     if "poly" in obj:
-        return EquivariantElement.from_poly(algebra, parse_poly(obj["poly"], r, f"{where}.poly"))
+        return EquivariantElement.from_poly(algebra, parse_poly(GradedPoly, obj["poly"], r, f"{where}.poly"))
     if "coefficients" in obj:
         coeffs = {}
         for key, val in _expect_object(obj["coefficients"], f"{where}.coefficients").items():
@@ -265,7 +256,7 @@ def _parse_restriction(obj, algebra: ComponentAlgebra, fc: FixedComponent, where
                 idx = int(key)
             except ValueError:
                 raise ValidationError(f"{where}.coefficients: bad index {key!r}") from None
-            coeffs[idx] = parse_poly(val, r, f"{where}.coefficients[{key!r}]")
+            coeffs[idx] = parse_poly(GradedPoly, val, r, f"{where}.coefficients[{key!r}]")
         try:
             return EquivariantElement(algebra, r, coeffs)
         except ValueError as exc:
@@ -312,7 +303,10 @@ def parse_abbv_input(obj) -> tuple[list[FixedComponent], list[EquivariantElement
                     except ValueError:
                         raise ValidationError(f"{cwhere}: bad index {key!r}") from None
                     coeffs[idx] = GradedPoly.constant(nv, exact_number(val, f"{cwhere}[{key!r}]"))
-                corrections.append(EquivariantElement(algebra, nv, coeffs))
+                try:
+                    corrections.append(EquivariantElement(algebra, nv, coeffs))
+                except ValueError as exc:
+                    raise ValidationError(f"{cwhere}: {exc}") from None
         integration = None
         if cj.get("integration") is not None:
             integration = {}
@@ -345,7 +339,7 @@ def parse_ktheory_input(obj) -> list[KFixedPoint]:
     for k, pj in enumerate(pts_json):
         where = f"points[{k}]"
         pj = _expect_object(pj, where)
-        fiber = parse_laurent(pj.get("fiber"), nv, f"{where}.fiber")
+        fiber = parse_poly(LaurentPoly, pj.get("fiber"), nv, f"{where}.fiber")
         conormals = [
             _int_list(w, f"{where}.conormal[{i}]")
             for i, w in enumerate(_expect_list(pj.get("conormal"), f"{where}.conormal"))
@@ -355,7 +349,3 @@ def parse_ktheory_input(obj) -> list[KFixedPoint]:
         except Exception as exc:
             raise ValidationError(f"{where}: {exc}") from None
     return points
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(x)

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .linalg import frac
+from .poly import Exponents, LaurentPoly
 
 __all__ = [
     "TrivialCharacter",
@@ -54,113 +54,6 @@ class MultivariateUnsupported(Exception):
 
 class PoleAtOne(Exception):
     """The fraction did not collapse to a character, so t = 1 is a pole."""
-
-
-Exponents = tuple[int, ...]
-
-
-class LaurentPoly:
-    """Laurent polynomial with exact coefficients, any-sign exponents."""
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(self, num_vars: int, terms: Mapping[Exponents, object] | None = None):
-        self.num_vars = int(num_vars)
-        clean: dict[Exponents, Fraction] = {}
-        for e, c in (terms or {}).items():
-            ee = tuple(int(x) for x in e)
-            if len(ee) != self.num_vars:
-                raise ValueError(f"exponent {ee} has arity {len(ee)}, not {self.num_vars}")
-            cc = frac(c)
-            if cc:
-                clean[ee] = clean.get(ee, Fraction(0)) + cc
-                if not clean[ee]:
-                    del clean[ee]
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "LaurentPoly":
-        return cls(num_vars, {})
-
-    @classmethod
-    def one(cls, num_vars: int) -> "LaurentPoly":
-        return cls(num_vars, {(0,) * num_vars: 1})
-
-    @classmethod
-    def monomial(cls, num_vars: int, exps: Sequence[int], c=1) -> "LaurentPoly":
-        return cls(num_vars, {tuple(exps): c})
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError(f"{self.num_vars} variables vs {other.num_vars}")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(self.num_vars, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.num_vars, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient_sum(self) -> Fraction:
-        """Value at t = 1 (every variable set to 1)."""
-        return sum(self.terms.values(), Fraction(0))
-
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        single = self.num_vars == 1
-        parts = []
-        for e, c in self.sorted_terms():
-            if single:
-                k = e[0]
-                mono = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            else:
-                mono = "*".join(
-                    f"t{i + 1}" + (f"^{k}" if k != 1 else "")
-                    for i, k in enumerate(e) if k
-                )
-            mag = abs(c)
-            body = mono if (mono and mag == 1) else (f"{mag}*{mono}" if mono else str(mag))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
 
 
 # -- univariate dense helpers (for gcd reduction) -------------------------

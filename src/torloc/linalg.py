@@ -130,13 +130,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(self._e[i * self.cols + j] for i in range(self.rows))
 
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self._e)
 

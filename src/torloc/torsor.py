@@ -98,7 +98,8 @@ class CohomologyBasis:
         if not self.is_cocycle(v):
             raise ValueError("not a cocycle")
         sol = self._coord_mat.solve(v)
-        assert sol is not None, "cocycle escaped the kernel decomposition"
+        if sol is None:
+            raise RuntimeError("cocycle escaped the kernel decomposition")
         return sol[: self.dim]
 
     def vector(self, coords: Sequence) -> Vector:
@@ -193,7 +194,8 @@ def les(pair: CochainPair, degree: int) -> LESData:
     for u in quot_prev.representatives:
         ext = pair.embed_quotient(d - 1, u)
         w = pair.absolute.differential(d - 1).apply(ext)
-        assert pair.is_supported(d, w), "connecting zig-zag left the supported subspace"
+        if not pair.is_supported(d, w):
+            raise RuntimeError("connecting zig-zag left the supported subspace")
         connect_cols.append(pair.restrict_supported(d, w))
     connect = _matrix_of(connect_cols, rel)
 
@@ -310,7 +312,8 @@ def supported_lifts(pair: CochainPair, target: CohomologyClass) -> LiftTorsor:
             "restriction to the open part is nonzero: " + _fmt_vec(obstruction)
         )
     base = seq.forget.solve(target.coordinates)
-    assert base is not None, "exactness broken: restriction vanished but no preimage"
+    if base is None:
+        raise RuntimeError("exactness broken: restriction vanished but no preimage")
     directions = tuple(seq.connect.image_basis())
     return LiftTorsor(seq, target, base, directions)
 

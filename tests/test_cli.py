@@ -5,6 +5,7 @@ check failed, 2 the input was unusable.  Reports on stdout must be
 byte-identical across runs; timing goes to stderr.
 """
 
+import ast
 import json
 import re
 import subprocess
@@ -138,6 +139,15 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_non_utf8_input_exits_two(capsys, tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"vertices": ["\xff"]}')
+    code, out, err = run(capsys, "les", "--input", p)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read") and "UTF-8" in err
+
+
 def test_float_input_exits_two(capsys, tmp_path):
     p = tmp_path / "f.json"
     p.write_text('{"num_vars": 2, "components": [{"weights": [[0.5, 1]], "restriction": "unit"}]}')
@@ -213,6 +223,30 @@ def test_module_entry_point_verify():
     rep = json.loads(r1.stdout)
     assert rep["ok"] is True
     assert r1.stderr.startswith("torloc verify:")
+
+
+def test_verify_is_the_same_under_optimize():
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "torloc", "verify", "--seed", "42"],
+            capture_output=True,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_engine_invariants_are_not_asserts():
+    # `python -O` strips assert statements, so an internal invariant must raise
+    src = Path(torloc.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_unknown_command_exits_two():

@@ -54,11 +54,6 @@ def test_missing_file_is_a_parse_error():
         tio.load_json("/nonexistent/job.json")
 
 
-def test_fraction_str_is_canonical():
-    assert tio.fraction_str(Fraction(6, 4)) == "3/2"
-    assert tio.fraction_str(Fraction(-3)) == "-3"
-
-
 # -- complexes and pairs -----------------------------------------------------
 
 
@@ -151,18 +146,18 @@ def test_non_cocycle_is_refused():
 
 
 def test_parse_poly():
-    p = tio.parse_poly({"2,0": 1, "1,1": "1/2"}, 2)
+    p = tio.parse_poly(GradedPoly, {"2,0": 1, "1,1": "1/2"}, 2, "poly")
     assert p == GradedPoly(2, {(2, 0): 1, (1, 1): Fraction(1, 2)})
+    with pytest.raises(tio.ValidationError, match="negative exponent"):
+        tio.parse_poly(GradedPoly, {"-1,0": 1}, 2, "poly")
     with pytest.raises(tio.ValidationError):
-        tio.parse_poly({"-1,0": 1}, 2)
+        tio.parse_poly(GradedPoly, {"1": 1}, 2, "poly")
     with pytest.raises(tio.ValidationError):
-        tio.parse_poly({"1": 1}, 2)
-    with pytest.raises(tio.ValidationError):
-        tio.parse_poly({"a,b": 1}, 2)
+        tio.parse_poly(GradedPoly, {"a,b": 1}, 2, "poly")
 
 
 def test_parse_laurent_allows_negative_exponents():
-    p = tio.parse_laurent({"-3": 1, "0": "2/3"}, 1)
+    p = tio.parse_poly(LaurentPoly, {"-3": 1, "0": "2/3"}, 1, "laurent")
     assert p == LaurentPoly(1, {(-3,): 1, (0,): Fraction(2, 3)})
 
 
@@ -213,6 +208,18 @@ def test_parse_abbv_input_weight_forms():
         {"num_vars": 2, "components": [{"weights": [[1, 0]]}]},
         {"num_vars": 2, "components": [{"weights": [[1, 0]], "restriction": {}}]},
         {"num_vars": 2, "components": [{"weights": [[[1, 0], True]], "restriction": "unit"}]},
+        {
+            "num_vars": 2,
+            "components": [
+                {
+                    "algebra": {"basis_degrees": [0, 2], "products": {"1,1": [0, 0]}},
+                    "weights": [[1, 0]],
+                    "corrections": [{"9": 1}],
+                    "integration": {"1": 1},
+                    "restriction": "unit",
+                }
+            ],
+        },
     ],
 )
 def test_parse_abbv_rejections(broken):
