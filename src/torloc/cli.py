@@ -4,6 +4,13 @@ Reports go to stdout and are byte-identical across runs on the same
 input; the wall-clock line goes to stderr so timing never perturbs a
 golden file.  Exit status: 0 when every check passed, 1 when a check or
 the requested computation failed, 2 when the input was unusable.
+
+A failed computation reports ``{"error": {"type": ..., "message": ...}}``
+on stdout.  Any other exception escaping a job (a broken internal
+invariant, such as the inversion round trip, raises RuntimeError) is a
+defect of the program, not of the input: it is reported the same way
+with type ``InternalError``, with the original exception in the message
+and where it was raised on stderr, and also exits 1.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Sequence
 
 from . import io as tio
@@ -308,6 +316,13 @@ def _timing(command: str, start: float) -> None:
     print(f"torloc {command}: {elapsed:.3f}s", file=sys.stderr)
 
 
+def _failure(args, start: float, kind: str, message: str) -> int:
+    report = {"command": args.command, "error": {"type": kind, "message": message}}
+    sys.stdout.write(emit(report, args.format))
+    _timing(args.command, start)
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
@@ -317,13 +332,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ENGINE_ERRORS as exc:
-        report = {
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        sys.stdout.write(emit(report, args.format))
-        _timing(args.command, start)
-        return 1
+        return _failure(args, start, type(exc).__name__, str(exc))
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        print(
+            f"internal error: {type(exc).__name__} raised at "
+            f"{Path(code.co_filename).name}:{tb.tb_lineno} in {code.co_name}",
+            file=sys.stderr,
+        )
+        return _failure(args, start, "InternalError", f"{type(exc).__name__}: {exc}")
     sys.stdout.write(emit(report, args.format))
     _timing(args.command, start)
     return 0 if ok else 1

@@ -20,6 +20,7 @@ by a multivariate gcd.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,28 +68,47 @@ class NotProper(Exception):
     """The subtorus is the whole torus; nothing vanishes on all of it."""
 
 
+def _glex_key(e: Exponents) -> tuple:
+    # heapq pops the smallest key first: this pops the graded-lex largest
+    return -sum(e), tuple(-x for x in e)
+
+
 def try_exact_division(num: GradedPoly, den: GradedPoly) -> GradedPoly | None:
     """num/den when den divides num exactly, else None.
 
     Single-divisor division in graded-lex order; needs no gcd and always
-    terminates because the leading monomial strictly drops.
+    terminates because the leading monomial strictly drops.  The
+    remainder is updated in place, its leading term taken from a heap, so
+    each quotient term costs one pass over the divisor's terms.
     """
     num._check(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return GradedPoly.zero(num.num_vars)
     lead_e, lead_c = den.leading_term()
+    rest = [(e, c) for e, c in den.terms.items() if e != lead_e]
+    rem = dict(num.terms)
+    heap = [_glex_key(e) for e in rem]
+    heapq.heapify(heap)
     q: dict[Exponents, Fraction] = {}
-    rem = num
-    while not rem.is_zero():
-        e, c = rem.leading_term()
+    while heap:
+        _, neg = heapq.heappop(heap)
+        e = tuple(-x for x in neg)
+        c = rem.pop(e)
+        if not c:
+            continue
         diff = tuple(a - b for a, b in zip(e, lead_e))
         if any(x < 0 for x in diff):
             return None
         coef = c / lead_c
         q[diff] = coef
-        rem = rem - GradedPoly.monomial(num.num_vars, diff, coef) * den
+        for e2, c2 in rest:
+            # below e in the order, so never a term already popped
+            t = tuple(a + b for a, b in zip(diff, e2))
+            if t in rem:
+                rem[t] -= coef * c2
+            else:
+                rem[t] = -coef * c2
+                heapq.heappush(heap, _glex_key(t))
     return GradedPoly(num.num_vars, q)
 
 
@@ -293,9 +313,15 @@ class EquivariantElement:
     ``coeffs`` maps basis indices to nonzero polynomials.  The denominator
     is a multiset of (form, multiplicity) pairs; the empty tuple means 1.
     Keeping it factored keeps membership in the localizing set evident.
+
+    ``unit_split`` is the factorization of the unit coefficient when it is
+    known by construction, as ``_factor_linear_forms`` would return it:
+    (scalar, primitive sign-normalized forms, merged and sorted).  Only
+    ``euler_class`` records one; every other element carries None, and its
+    inversion falls back to factoring.
     """
 
-    __slots__ = ("component", "num_vars", "coeffs", "den_factors")
+    __slots__ = ("component", "num_vars", "coeffs", "den_factors", "unit_split")
 
     def __init__(
         self,
@@ -327,6 +353,7 @@ class EquivariantElement:
                 raise ValueError("denominator multiplicities must be positive")
             dens.append((form, int(m)))
         self.den_factors = _merge_factors(tuple(dens), ())
+        self.unit_split: tuple[Fraction, tuple[tuple[LinearForm, int], ...]] | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -347,9 +374,7 @@ class EquivariantElement:
             raise ArityMismatch("elements have different parameter arity")
 
     def _scale_num(self, extra: Iterable[tuple[LinearForm, int]]) -> dict[int, GradedPoly]:
-        p = GradedPoly.constant(self.num_vars, 1)
-        for form, m in extra:
-            p = p * form.poly() ** m
+        p = _times_forms(GradedPoly.one(self.num_vars), extra)
         return {i: q * p for i, q in self.coeffs.items()}
 
     def __add__(self, other: "EquivariantElement") -> "EquivariantElement":
@@ -418,10 +443,7 @@ class EquivariantElement:
         return not self.coeffs
 
     def denominator_poly(self) -> GradedPoly:
-        p = GradedPoly.constant(self.num_vars, 1)
-        for form, m in self.den_factors:
-            p = p * form.poly() ** m
-        return p
+        return _times_forms(GradedPoly.one(self.num_vars), self.den_factors)
 
     def equals(self, other: "EquivariantElement") -> bool:
         """Equality as localized elements, by cross-multiplication."""
@@ -480,9 +502,16 @@ class FixedComponent:
     normal direction.  ``integration`` is the functional on top-degree
     basis elements; for a point algebra it defaults to reading the unit
     coefficient.
+
+    A component is a value: its Euler class and that class's inverse are
+    built on first use and kept on the component (``euler`` and
+    ``euler_inverse``), so every consumer of one job shares them.
     """
 
-    __slots__ = ("algebra", "weights", "corrections", "integration", "num_vars")
+    __slots__ = (
+        "algebra", "weights", "corrections", "integration", "num_vars",
+        "_euler", "_euler_inverse",
+    )
 
     def __init__(
         self,
@@ -542,6 +571,23 @@ class FixedComponent:
             if algebra.basis_degrees[i] != top:
                 raise ValueError("integration functional must live in top degree")
         self.integration = functional
+        self._euler: EquivariantElement | None = None
+        self._euler_inverse: EquivariantElement | None = None
+
+    # getattr defaults: a component assembled without __init__ has no memo
+
+    def euler(self) -> EquivariantElement:
+        """``euler_class(self)``, built once."""
+        if getattr(self, "_euler", None) is None:
+            self._euler = euler_class(self)
+        return self._euler
+
+    def euler_inverse(self) -> EquivariantElement:
+        """``invert_localized(self.euler())``, computed once; NotInvertible
+        is raised again on every call."""
+        if getattr(self, "_euler_inverse", None) is None:
+            self._euler_inverse = invert_localized(self.euler())
+        return self._euler_inverse
 
     def __repr__(self) -> str:
         return (
@@ -555,7 +601,11 @@ def euler_class(fc: FixedComponent) -> EquivariantElement:
 
     Homogeneous of degree twice the weighted normal rank; invertible in
     the localized ring whenever the component is legal, because the unit
-    part is exactly the product of the (nonzero) weights.
+    part is exactly the product of the (nonzero) weights.  When every
+    weight is nonzero and no correction has a unit part or a denominator
+    (all of which a legal component guarantees), the grading keeps the
+    corrections out of the unit part, so its split into linear forms is
+    recorded as ``unit_split``.
     """
     result = EquivariantElement.unit(fc.algebra, fc.num_vars)
     for (form, mult), corr in zip(fc.weights, fc.corrections):
@@ -564,7 +614,39 @@ def euler_class(fc: FixedComponent) -> EquivariantElement:
             factor = factor + corr
         for _ in range(mult):
             result = result * factor
+    if not any(form.is_zero() for form, _ in fc.weights) and all(
+        corr is None or (0 not in corr.coeffs and not corr.den_factors)
+        for corr in fc.corrections
+    ):
+        result.unit_split = _split_forms((form.coeffs, m) for form, m in fc.weights)
     return result
+
+
+def _primitive(coeffs: Sequence) -> tuple[Fraction, LinearForm]:
+    """(s, f) with coeffs = s * f, where f is the primitive integer form
+    whose first nonzero coefficient is positive; coeffs must not all
+    vanish."""
+    cs = [frac(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return Fraction(g, den), LinearForm([v // g for v in ints])
+
+
+def _split_forms(
+    factors: Iterable[tuple[Sequence, int]],
+) -> tuple[Fraction, tuple[tuple[LinearForm, int], ...]]:
+    """The product of (coefficients, multiplicity) linear factors as a
+    scalar times primitive sign-normalized forms, merged and sorted."""
+    scalar = Fraction(1)
+    merged: dict[LinearForm, int] = {}
+    for coeffs, mult in factors:
+        s, form = _primitive(coeffs)
+        scalar *= s**mult
+        merged[form] = merged.get(form, 0) + mult
+    return scalar, tuple(sorted(merged.items(), key=lambda fm: fm[0].coeffs))
 
 
 def _factor_linear_forms(
@@ -574,8 +656,10 @@ def _factor_linear_forms(
 
     Returns None when p is zero or has any non-linear (or inhomogeneous)
     irreducible factor.  Exact factorization over Q is delegated to sympy,
-    imported lazily; primitive vectors are sign-normalized (first nonzero
-    coefficient positive) with the adjustment absorbed into the scalar.
+    imported lazily; it is the fallback for unit parts whose split is not
+    known by construction (see ``EquivariantElement.unit_split``).
+    Primitive vectors are sign-normalized (first nonzero coefficient
+    positive) with the adjustment absorbed into the scalar.
     """
     if p.is_zero():
         return None
@@ -594,29 +678,15 @@ def _factor_linear_forms(
                 mono *= x**k
         expr += mono
     coeff, factors = sympy.factor_list(expr)
-    scalar = Fraction(int(coeff.p), int(coeff.q))
-    out = []
+    forms = []
     for base, mult in factors:
         poly = sympy.Poly(base, *xs)
         if poly.total_degree() != 1 or poly.coeff_monomial(1) != 0:
             return None
-        cs = []
-        for x in xs:
-            c = sympy.Rational(poly.coeff_monomial(x))
-            cs.append(Fraction(int(c.p), int(c.q)))
-        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
-        ints = [int(c * den) for c in cs]
-        g = math.gcd(*(abs(v) for v in ints)) if any(ints) else 1
-        prim = [v // g for v in ints]
-        lead = next(v for v in prim if v)
-        if lead < 0:
-            prim = [-v for v in prim]
-            g = -g
-        # base = (g/den) * primitive form
-        scalar *= Fraction(g, den) ** int(mult)
-        out.append((LinearForm(prim), int(mult)))
-    out.sort(key=lambda fm: fm[0].coeffs)
-    return scalar, tuple(out)
+        cs = [sympy.Rational(poly.coeff_monomial(x)) for x in xs]
+        forms.append(([Fraction(int(c.p), int(c.q)) for c in cs], int(mult)))
+    scalar, split = _split_forms(forms)
+    return Fraction(int(coeff.p), int(coeff.q)) * scalar, split
 
 
 def invert_localized(e: EquivariantElement) -> EquivariantElement:
@@ -628,12 +698,14 @@ def invert_localized(e: EquivariantElement) -> EquivariantElement:
 
         (u + n)^(-1) = (sum over m < N of (-1)^m n^m u^(N-1-m)) / u^N.
 
-    The product e * result is verified to be the unit before returning.
+    The split of u is ``e.unit_split`` when recorded, else factored by
+    sympy.  The product e * result is verified to be the unit before
+    returning.
     """
     u_poly = e.coeffs.get(0)
     if u_poly is None:
         raise NotInvertible("unit coefficient is zero")
-    split = _factor_linear_forms(u_poly)
+    split = e.unit_split if e.unit_split is not None else _factor_linear_forms(u_poly)
     if split is None:
         raise NotInvertible(
             "unit coefficient is not a scalar times a product of linear forms: "
@@ -724,6 +796,13 @@ class PolyFraction:
     def zero(cls, num_vars: int) -> "PolyFraction":
         return cls(GradedPoly.zero(num_vars))
 
+    @classmethod
+    def _canonical(cls, num: GradedPoly, den: GradedPoly) -> "PolyFraction":
+        """Wrap a pair the caller knows to be in canonical form."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -767,9 +846,7 @@ class PolyFraction:
         return f"PolyFraction({self})"
 
 
-def component_integral(fc: FixedComponent, el: EquivariantElement) -> PolyFraction:
-    """Integrate over the component: apply the top-degree functional to
-    the numerator coefficients, over the element's denominator."""
+def _integral_numerator(fc: FixedComponent, el: EquivariantElement) -> GradedPoly:
     if el.component != fc.algebra:
         raise ValueError("element lives over a different component algebra")
     if el.num_vars != fc.num_vars:
@@ -779,7 +856,41 @@ def component_integral(fc: FixedComponent, el: EquivariantElement) -> PolyFracti
         p = el.coeffs.get(i)
         if p is not None and weight:
             num = num + p.scale(weight)
-    return PolyFraction(num, el.denominator_poly())
+    return num
+
+
+def component_integral(fc: FixedComponent, el: EquivariantElement) -> PolyFraction:
+    """Integrate over the component: apply the top-degree functional to
+    the numerator coefficients, over the element's denominator."""
+    return PolyFraction(_integral_numerator(fc, el), el.denominator_poly())
+
+
+def _times_forms(p: GradedPoly, forms: Iterable[tuple[LinearForm, int]]) -> GradedPoly:
+    """p times the product of the forms, with multiplicity."""
+    for form, m in forms:
+        for _ in range(m):
+            p = p * form.poly()
+    return p
+
+
+def _excess(a: dict[LinearForm, int], b: dict[LinearForm, int]) -> list[tuple[LinearForm, int]]:
+    """The factors of the product a left over after dividing it by b."""
+    return [(f, m - b.get(f, 0)) for f, m in a.items() if m > b.get(f, 0)]
+
+
+def _cancel(num: GradedPoly, den: dict[LinearForm, int]) -> GradedPoly:
+    """Divide out of num every factor of den that divides it; den is
+    updated in place, so num/den keeps its value in lowest terms."""
+    for form in list(den):
+        while den[form]:
+            q = try_exact_division(num, form.poly())
+            if q is None:
+                break
+            num = q
+            den[form] -= 1
+        if not den[form]:
+            del den[form]
+    return num
 
 
 def abbv_integrate(
@@ -789,22 +900,50 @@ def abbv_integrate(
     """Fixed-point integration: sum over components of the integral of
     restriction / euler, over a common denominator.
 
-    The result is independent of the component order; a non-invertible
-    Euler class aborts with the offending component identified.
+    The result is independent of the component order as a rational
+    function; a non-invertible Euler class aborts with the offending
+    component identified.
+
+    The sum is kept as a numerator over the least common multiple of the
+    terms' linear forms, held factored and cancelled by exact division
+    by one form at a time.  The printed form is that of the running
+    PolyFraction sum: a non-polynomial result is over the product of the
+    denominators of the terms whose own fraction did not collapse, since
+    the last partial sum that was a polynomial.  That product (``spent``)
+    is expanded once, at the end.
     """
     if len(components) != len(restrictions):
         raise ValueError("need one restriction per component")
     if not components:
         raise ValueError("empty component list")
-    total = PolyFraction.zero(components[0].num_vars)
+    num_vars = components[0].num_vars
+    total = GradedPoly.zero(num_vars)
+    lcm: dict[LinearForm, int] = {}
+    spent: dict[LinearForm, int] = {}
     for idx, (fc, res) in enumerate(zip(components, restrictions)):
-        e = euler_class(fc)
         try:
-            inv = invert_localized(e)
+            inv = fc.euler_inverse()
         except NotInvertible as exc:
             raise NotInvertible(f"component {idx}: {exc}") from None
-        total = total + component_integral(fc, res * inv)
-    return total
+        el = res * inv
+        scalar, factors = _split_forms((f.coeffs, m) for f, m in el.den_factors)
+        den = dict(factors)
+        num = _cancel(_integral_numerator(fc, el).scale(1 / scalar), den)
+        if den:  # the term's own fraction did not collapse
+            for form, m in factors:
+                spent[form] = spent.get(form, 0) + m
+        total = _times_forms(total, _excess(den, lcm)) + _times_forms(num, _excess(lcm, den))
+        for form, m in den.items():
+            lcm[form] = max(lcm.get(form, 0), m)
+        total = _cancel(total, lcm)
+        if not lcm:
+            spent.clear()
+    one = GradedPoly.one(num_vars)
+    if not lcm:
+        return PolyFraction._canonical(total, one)
+    return PolyFraction._canonical(
+        _times_forms(total, _excess(spent, lcm)), _times_forms(one, spent.items())
+    )
 
 
 def orbit_annihilation_witness(
@@ -829,15 +968,7 @@ def orbit_annihilation_witness(
     kernel = m.kernel_basis()
     if not kernel:
         raise NotProper("the vectors span the whole parameter space")
-    v = kernel[0]
-    den = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = math.gcd(*(abs(x) for x in ints))
-    prim = [x // g for x in ints]
-    lead = next(x for x in prim if x)
-    if lead < 0:
-        prim = [-x for x in prim]
-    return LinearForm(prim)
+    return _primitive(kernel[0])[1]
 
 
 @dataclass(frozen=True)
@@ -870,7 +1001,7 @@ def concentration_check(components: Sequence[FixedComponent]) -> tuple[Concentra
                 problems.append("correction carries a denominator")
         if not problems:
             try:
-                invert_localized(euler_class(fc))
+                fc.euler_inverse()
             except NotInvertible as exc:
                 problems.append(f"euler class not invertible: {exc}")
         out.append(ConcentrationReport(idx, not problems, tuple(problems)))
@@ -906,7 +1037,7 @@ def unit_restrictions(n: int) -> list[EquivariantElement]:
 
 
 def euler_restrictions(components: Sequence[FixedComponent]) -> list[EquivariantElement]:
-    return [euler_class(fc) for fc in components]
+    return [fc.euler() for fc in components]
 
 
 def hyperplane_restrictions(n: int) -> list[EquivariantElement]:

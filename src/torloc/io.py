@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .equivariant import (
     ComponentAlgebra,
     EquivariantElement,
     FixedComponent,
     LinearForm,
-    euler_class,
 )
 from .ktheory import KFixedPoint
 from .poly import GradedPoly, LaurentPoly
@@ -245,7 +243,7 @@ def _parse_restriction(obj, algebra: ComponentAlgebra, fc: FixedComponent, where
     if obj == "unit":
         return EquivariantElement.unit(algebra, r)
     if obj == "euler":
-        return euler_class(fc)
+        return fc.euler()
     obj = _expect_object(obj, where)
     if "poly" in obj:
         return EquivariantElement.from_poly(algebra, parse_poly(GradedPoly, obj["poly"], r, f"{where}.poly"))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, Vector, vec, zero_vec
+from .linalg import Matrix, Vector, vec
 
 __all__ = [
     "UnknownVertex",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import AffineSubspace, Matrix, Vector, vec, zero_vec
+from .linalg import AffineSubspace, Matrix, Vector, vec
 from .simplicial import CochainComplex, CochainPair, tensor_cochain
 
 __all__ = [

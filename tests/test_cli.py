@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import torloc
+from torloc import cli
 from torloc.cli import emit, main
-from torloc.io import parse_json_text
+from torloc.equivariant import EquivariantElement
+from torloc.io import parse_abbv_input, parse_json_text
 
 DATASETS = Path(torloc.__file__).parent / "datasets"
 
@@ -122,6 +124,33 @@ def test_unsupported_class_is_an_engine_error(capsys, tmp_path):
     assert code == 1
     assert rep["error"]["type"] == "NotSupported"
     assert "restriction" in rep["error"]["message"]
+
+
+def test_internal_error_is_a_structured_report(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setitem(cli._HANDLERS, "les", broken)
+    code, rep, err = run_json(capsys, "les", "--input", DATASETS / "circle_lifts.json")
+    assert code == 1
+    assert rep == {
+        "command": "les",
+        "error": {"type": "InternalError", "message": "RuntimeError: invariant broken"},
+    }
+    assert err.startswith("internal error: RuntimeError raised at test_cli.py:")
+    assert "Traceback" not in err
+
+
+def test_failed_inversion_round_trip_is_an_internal_error(capsys, monkeypatch):
+    # the round trip runs on every inversion, the recorded-split path included
+    monkeypatch.setattr(EquivariantElement, "equals", lambda self, other: False)
+    code, rep, err = run_json(capsys, "abbv", "--input", DATASETS / "p2_abbv_euler.json")
+    assert code == 1
+    assert rep["error"] == {
+        "type": "InternalError",
+        "message": "RuntimeError: inversion failed to round-trip",
+    }
+    assert "in invert_localized" in err
 
 
 def test_missing_file_exits_two(capsys):
@@ -247,6 +276,103 @@ def test_engine_invariants_are_not_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        # quoted annotations name their types inside a string
+        notes = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for note in filter(None, notes):
+            for sub in ast.walk(note):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                             if isinstance(n, ast.Name)}
+        # names listed in __all__ are exported, so they count as used
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    src = Path(torloc.__file__).parent
+    found = {
+        path.name: unused
+        for path in sorted(src.rglob("*.py"))
+        if path.name != "__init__.py"
+        and (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+def test_unused_import_scan_flags_only_unused_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "from typing import Mapping, Sequence\n"
+        "from .x import Exported, Dropped\n"
+        "__all__ = ['Exported']\n"
+        "def f(a: 'Mapping') -> Sequence: return a\n"
+    )
+    assert _unused_imports(tree) == ["os (line 2)", "Dropped (line 4)"]
+
+
+_SYMPY_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from torloc.cli import main
+from torloc.equivariant import (
+    ComponentAlgebra, EquivariantElement, GradedPoly, NotInvertible, invert_localized,
+)
+
+jobs = [["abbv", "--input", str(p)] for p in sorted(Path(sys.argv[1]).glob("*abbv*"))]
+codes = {}
+for argv in jobs + [["verify", "--seed", "42"]]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes[argv[-1]] = main(argv)
+loaded = "sympy" in sys.modules
+
+x1, x2 = (GradedPoly.variable(2, i) for i in range(2))
+refused = []
+for u in (x1 + GradedPoly.constant(2, 1), x1 * x1 + x2 * x2):
+    try:
+        invert_localized(EquivariantElement.from_poly(ComponentAlgebra.point(), u))
+    except NotInvertible:
+        refused.append(str(u))
+print(json.dumps({"codes": codes, "loaded": loaded, "refused": refused,
+                  "fallback": "sympy" in sys.modules}))
+"""
+
+
+def test_euler_path_never_imports_sympy():
+    # a fresh interpreter, so that nothing else has loaded sympy first
+    r = subprocess.run(
+        [sys.executable, "-c", _SYMPY_PROBE, str(DATASETS)], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert len(out["codes"]) == 8
+    assert set(out["codes"].values()) == {0}
+    assert out["loaded"] is False
+    assert out["refused"] == ["x1 + 1", "x1^2 + x2^2"]
+    assert out["fallback"] is True
+
+
+def test_euler_restrictions_share_the_component_euler_class():
+    obj = json.loads((DATASETS / "p2_abbv_euler.json").read_text())
+    components, restrictions = parse_abbv_input(obj)
+    assert all(r is fc.euler() for r, fc in zip(restrictions, components))
 
 
 def test_unknown_command_exits_two():

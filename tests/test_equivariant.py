@@ -11,7 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from torloc import equivariant
 from torloc.equivariant import (
     ArityMismatch,
     ComponentAlgebra,
@@ -36,6 +39,7 @@ from torloc.equivariant import (
     try_exact_division,
     unit_restrictions,
 )
+from torloc.equivariant import _factor_linear_forms
 
 
 def x(i, nv=2):
@@ -476,3 +480,207 @@ def test_concentration_flags_unit_correction():
     reports = concentration_check([fc])
     assert not reports[0].ok
     assert any("non-nilpotent remainder" in p for p in reports[0].problems)
+
+
+def test_concentration_flags_unit_correction_on_the_sympy_path():
+    # a unit-part correction linear in the parameters leaves the unit part
+    # a product of linear forms: no split is recorded, sympy still inverts
+    alg = ComponentAlgebra.truncated(2)
+    bad = EquivariantElement(alg, 2, {0: x(1), 1: const(1)})
+    fc = forced_component([(LinearForm([1, 0]), 1)], corrections=[bad])
+    reports = concentration_check([fc])
+    assert reports[0].problems == ("non-nilpotent remainder (correction has a unit part)",)
+    assert euler_class(fc).unit_split is None
+    res = [EquivariantElement(alg, 2, {1: const(1)})]
+    assert str(abbv_integrate([fc], res)) == "(x1 + x2) / (x1^2 + 2*x1*x2 + x2^2)"
+
+
+def test_smuggled_unit_correction_still_fails_to_invert():
+    alg = ComponentAlgebra.truncated(2)
+    bad = EquivariantElement(alg, 2, {0: const(1), 1: const(1)})
+    fc = forced_component([(LinearForm([1, 0]), 1)], corrections=[bad])
+    with pytest.raises(NotInvertible, match=r"^component 0: unit coefficient is not "
+                       r"a scalar times a product of linear forms: x1 \+ 1$"):
+        abbv_integrate([fc], [unit_el(alg)])
+
+
+# -- recorded Euler splits and the factored sum, against their oracles ------------
+
+
+@st.composite
+def weight_lists(draw):
+    nv = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-3, 3), min_size=nv, max_size=nv).filter(any)
+    weights = draw(st.lists(st.tuples(vector, st.integers(1, 3)), max_size=4))
+    return nv, weights, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@example((2, [([1, -1], 1), ([-1, 1], 1)], False))
+@example((2, [([2, 0], 1), ([1, 0], 2)], False))
+@example((2, [([1, 1], 2), ([1, 1], 1), ([-2, -2], 3)], True))
+@example((1, [], False))
+@given(weight_lists())
+def test_recorded_euler_split_matches_sympy(case):
+    nv, weights, corrected = case
+    forms = [(LinearForm(v), m) for v, m in weights]
+    if corrected:
+        alg = ComponentAlgebra.truncated(2)
+        corr = EquivariantElement(alg, nv, {1: const(1, nv)})
+        fc = FixedComponent(alg, forms, [corr] * len(forms), {1: 1}, num_vars=nv)
+    else:
+        fc = FixedComponent(ComponentAlgebra.point(), forms, num_vars=nv)
+    e = euler_class(fc)
+    assert e.unit_split is not None
+    assert e.unit_split == _factor_linear_forms(e.coeffs[0])
+
+
+def test_only_euler_classes_record_a_split():
+    fc = FixedComponent(ComponentAlgebra.point(), [LinearForm([1, 0])])
+    e = euler_class(fc)
+    assert e.unit_split == (Fraction(1), ((LinearForm([1, 0]), 1),))
+    assert (e * e).unit_split is None
+    assert EquivariantElement.from_poly(ComponentAlgebra.point(), x(0)).unit_split is None
+
+
+def leading_term_division(num, den):
+    """Division by re-subtracting whole polynomials: the oracle for
+    try_exact_division."""
+    lead_e, lead_c = den.leading_term()
+    q = {}
+    rem = num
+    while not rem.is_zero():
+        e, c = rem.leading_term()
+        diff = tuple(a - b for a, b in zip(e, lead_e))
+        if any(x < 0 for x in diff):
+            return None
+        q[diff] = c / lead_c
+        rem = rem - GradedPoly.monomial(num.num_vars, diff, c / lead_c) * den
+    return GradedPoly(num.num_vars, q)
+
+
+@st.composite
+def divisions(draw):
+    nv = draw(st.integers(1, 3))
+    poly = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nv), st.integers(-4, 4), max_size=5
+    ).map(lambda t: GradedPoly(nv, t))
+    num, den = draw(poly), draw(poly.filter(lambda p: not p.is_zero()))
+    if draw(st.booleans()):
+        num = num * den
+    return num, den
+
+
+@settings(max_examples=150, deadline=None)
+@example((x(0) ** 2 - x(1) ** 2, x(1) - x(0)))
+@example((x(0) * x(1) + const(1), x(0)))
+@given(divisions())
+def test_exact_division_matches_its_oracle(case):
+    num, den = case
+    assert try_exact_division(num, den) == leading_term_division(num, den)
+
+
+def running_sum(components, restrictions):
+    """The running PolyFraction sum that abbv_integrate factors: the
+    oracle for both its value and its printed form."""
+    total = PolyFraction.zero(components[0].num_vars)
+    for fc, res in zip(components, restrictions):
+        total = total + component_integral(fc, res * invert_localized(euler_class(fc)))
+    return total
+
+
+@st.composite
+def abbv_jobs(draw):
+    nv = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=nv, max_size=nv).filter(any)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    exps = st.tuples(*[st.integers(0, 2)] * nv)
+    poly = st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(
+        lambda t: GradedPoly(nv, t))
+    components, restrictions = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = []
+        for _ in range(draw(st.integers(1, 2))):
+            v = draw(st.sampled_from(pool))
+            v = [c * draw(st.sampled_from((1, -1, 2))) for c in v]
+            weights.append((LinearForm(v), draw(st.integers(1, 2))))
+        if draw(st.booleans()):
+            alg = ComponentAlgebra.point()
+            fc = FixedComponent(alg, weights, num_vars=nv)
+        else:
+            alg = ComponentAlgebra.truncated(2)
+            nilpotents = [EquivariantElement(alg, nv, {1: const(c, nv)}) for c in (1, -2)]
+            corrections = [draw(st.sampled_from([None, *nilpotents])) for _ in weights]
+            fc = FixedComponent(alg, weights, corrections, {1: 1}, num_vars=nv)
+        kind = draw(st.sampled_from(("unit", "euler", "poly")))
+        if kind == "unit":
+            res = EquivariantElement.unit(alg, nv)
+        elif kind == "euler":
+            res = euler_class(fc)
+        else:
+            den = []
+            if draw(st.booleans()):
+                scale = draw(st.sampled_from((1, -3)))
+                v = [c * scale for c in draw(st.sampled_from(pool))]
+                den = [(LinearForm(v), draw(st.integers(1, 2)))]
+            coeffs = {i: draw(poly) for i in range(alg.dim)}
+            res = EquivariantElement(alg, nv, coeffs, den)
+        components.append(fc)
+        restrictions.append(res)
+    return components, restrictions
+
+
+@settings(max_examples=80, deadline=None)
+@given(abbv_jobs())
+def test_factored_sum_prints_as_the_running_sum(job):
+    components, restrictions = job
+    got = abbv_integrate(components, restrictions)
+    want = running_sum(components, restrictions)
+    assert (str(got.num), str(got.den)) == (str(want.num), str(want.den))
+
+
+def point_components(*vectors):
+    return [FixedComponent(ComponentAlgebra.point(), [LinearForm(v)]) for v in vectors]
+
+
+def test_factored_sum_keeps_the_uncancelled_product():
+    comps = point_components([1, 1], [1, 1], [-1, -1])
+    got = abbv_integrate(comps, [unit_el(ComponentAlgebra.point())] * 3)
+    assert str(got) == (
+        "(x1^2 + 2*x1*x2 + x2^2) / (x1^3 + 3*x1^2*x2 + 3*x1*x2^2 + x2^3)"
+    )
+    assert str(running_sum(comps, [unit_el(ComponentAlgebra.point())] * 3)) == str(got)
+
+
+def test_factored_sum_drops_a_collapsed_term_denominator():
+    # x1*x2 / x1 collapses on its own, so its x1 never joins the product
+    pt = ComponentAlgebra.point()
+    comps = point_components([1, 0], [1, 0])
+    res = [unit_el(pt), EquivariantElement.from_poly(pt, x(0) * x(1))]
+    assert str(abbv_integrate(comps, res)) == "(x1*x2 + 1) / (x1)"
+    assert str(running_sum(comps, res)) == "(x1*x2 + 1) / (x1)"
+
+
+def test_factored_sum_restarts_after_a_polynomial_partial_sum():
+    # 1/x1 - 1/x1 is 0, so the last term's denominator stands alone
+    pt = ComponentAlgebra.point()
+    comps = point_components([1, 0], [-1, 0], [0, 1])
+    res = [unit_el(pt)] * 3
+    assert str(abbv_integrate(comps, res)) == "(1) / (x2)"
+    assert str(running_sum(comps, res)) == "(1) / (x2)"
+
+
+# -- one Euler class and one inversion per component ------------------------------
+
+
+def test_each_component_is_inverted_once(monkeypatch):
+    calls = []
+    real = equivariant.invert_localized
+    monkeypatch.setattr(equivariant, "invert_localized", lambda e: calls.append(e) or real(e))
+    comps = projective_space_components(3)
+    res = euler_restrictions(comps)
+    assert all(r.ok for r in concentration_check(comps))
+    assert abbv_integrate(comps, res) == PolyFraction(const(4, 4))
+    assert len(calls) == 4
+    assert all(r is fc.euler() for r, fc in zip(res, comps))
+    assert all(fc.euler_inverse() is fc.euler_inverse() for fc in comps)
