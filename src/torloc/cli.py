@@ -11,6 +11,9 @@ invariant, such as the inversion round trip, raises RuntimeError) is a
 defect of the program, not of the input: it is reported the same way
 with type ``InternalError``, with the original exception in the message
 and where it was raised on stderr, and also exits 1.
+
+Each handler imports the engine it runs, so that a job loads only what
+it needs; start-up is a large part of a small job's time.
 """
 
 from __future__ import annotations
@@ -23,23 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import io as tio
-from .equivariant import (
-    ArityMismatch,
-    NotInvertible,
-    NotProper,
-    ZeroWeight,
-    abbv_integrate,
-    concentration_check,
-)
-from .ktheory import (
-    MultivariateUnsupported,
-    PoleAtOne,
-    TrivialCharacter,
-    fixed_point_sum,
-    is_character,
-)
 from .simplicial import InvalidComplex, NotSubcomplex, UnknownVertex
-from .suite import run_verify
 from .torsor import (
     NotInTorsor,
     NotSupported,
@@ -51,23 +38,33 @@ from .torsor import (
 
 __all__ = ["main", "emit"]
 
-# Failures of the requested computation, as opposed to unusable input.
-# Parse-time occurrences of these are already wrapped in ValidationError
-# by the io layer; reaching one here means the job itself is at fault.
-ENGINE_ERRORS = (
-    NotSupported,
-    NotInTorsor,
-    NotInvertible,
-    NotProper,
-    ZeroWeight,
-    ArityMismatch,
-    TrivialCharacter,
-    MultivariateUnsupported,
-    PoleAtOne,
-    InvalidComplex,
-    NotSubcomplex,
-    UnknownVertex,
-)
+
+def _engine_errors() -> tuple[type[Exception], ...]:
+    """Failures of the requested computation, as opposed to unusable input.
+
+    Parse-time occurrences of these are already wrapped in ValidationError
+    by the io layer; reaching one here means the job itself is at fault.
+    Looked up only when a job fails, so that no job imports an engine it
+    does not run.
+    """
+    from .equivariant import NotInvertible, NotProper, ZeroWeight
+    from .ktheory import MultivariateUnsupported, PoleAtOne, TrivialCharacter
+    from .poly import ArityMismatch
+
+    return (
+        NotSupported,
+        NotInTorsor,
+        NotInvertible,
+        NotProper,
+        ZeroWeight,
+        ArityMismatch,
+        TrivialCharacter,
+        MultivariateUnsupported,
+        PoleAtOne,
+        InvalidComplex,
+        NotSubcomplex,
+        UnknownVertex,
+    )
 
 
 def _vec(values) -> list[str]:
@@ -157,6 +154,8 @@ def _cmd_lifts(args) -> tuple[dict, bool]:
 
 
 def _cmd_abbv(args) -> tuple[dict, bool]:
+    from .equivariant import abbv_integrate, concentration_check
+
     obj = tio.load_json(args.input)
     components, restrictions = tio.parse_abbv_input(obj)
     conc = concentration_check(components)
@@ -187,6 +186,8 @@ def _cmd_abbv(args) -> tuple[dict, bool]:
 
 
 def _cmd_ktheory(args) -> tuple[dict, bool]:
+    from .ktheory import fixed_point_sum, is_character
+
     obj = tio.load_json(args.input)
     points = tio.parse_ktheory_input(obj)
     total = fixed_point_sum(points)
@@ -210,6 +211,8 @@ def _cmd_ktheory(args) -> tuple[dict, bool]:
 
 
 def _cmd_verify(args) -> tuple[dict, bool]:
+    from .suite import run_verify
+
     report = run_verify(args.seed)
     return report, report["ok"]
 
@@ -331,9 +334,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (tio.ParseError, tio.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ENGINE_ERRORS as exc:
-        return _failure(args, start, type(exc).__name__, str(exc))
     except Exception as exc:
+        if isinstance(exc, _engine_errors()):
+            return _failure(args, start, type(exc).__name__, str(exc))
         tb = exc.__traceback__
         while tb.tb_next is not None:
             tb = tb.tb_next

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, frac
 from .poly import ArityMismatch, Exponents, GradedPoly
+from .record import Record
 
 __all__ = [
     "ArityMismatch",
@@ -112,10 +112,10 @@ def try_exact_division(num: GradedPoly, den: GradedPoly) -> GradedPoly | None:
     return GradedPoly(num.num_vars, q)
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """Integer linear form in the degree-2 parameters."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Sequence[int]):
@@ -740,10 +740,10 @@ def invert_localized(e: EquivariantElement) -> EquivariantElement:
     return inv
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(Record):
     """Outcome of the self-intersection round trip (b * e) / e == b."""
 
+    __slots__ = ("ok", "lhs", "rhs")
     ok: bool
     lhs: EquivariantElement
     rhs: EquivariantElement
@@ -971,10 +971,10 @@ def orbit_annihilation_witness(
     return _primitive(kernel[0])[1]
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(Record):
     """Per-component verdict for localization concentration."""
 
+    __slots__ = ("index", "ok", "problems")
     index: int
     ok: bool
     problems: tuple[str, ...]

@@ -4,21 +4,16 @@ Every number that enters the engine is an integer or a 'p/q' string;
 floats are rejected at the parser so inexactness cannot leak in.  Parsing
 problems raise ParseError (malformed JSON, with position) or
 ValidationError (well-formed JSON that violates the input contract).
+The polynomial engines are imported by the parsers that build their
+objects, so that a pair job starts without loading them.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .equivariant import (
-    ComponentAlgebra,
-    EquivariantElement,
-    FixedComponent,
-    LinearForm,
-)
-from .ktheory import KFixedPoint
-from .poly import GradedPoly, LaurentPoly
 from .simplicial import (
     CochainPair,
     SimplicialComplex,
@@ -26,6 +21,11 @@ from .simplicial import (
     UnknownVertex,
 )
 from .torsor import CohomologyClass, cohomology
+
+if TYPE_CHECKING:
+    from .equivariant import ComponentAlgebra, EquivariantElement, FixedComponent
+    from .ktheory import KFixedPoint
+    from .poly import LaurentPoly
 
 __all__ = [
     "ParseError",
@@ -110,11 +110,18 @@ def _int_list(x, where: str) -> list[int]:
     return out
 
 
+# Bound on the sum of 2^k - 1 over the distinct generators, k the number
+# of vertices of each: the most faces their downward closure can have.
+MAX_CLOSURE_FACES = 2**16
+
+
 def parse_complex(obj) -> tuple[SimplicialComplex, list]:
     """Complex from {'vertices': [...], 'simplices': [[...], ...]}.
 
     Faces may be omitted; the downward closure is taken and the added
-    faces are returned for the report.
+    faces are returned for the report.  Generators whose closures could
+    hold more than MAX_CLOSURE_FACES faces in all are refused before any
+    face is built.
     """
     obj = _expect_object(obj, "complex")
     vertices = _expect_list(obj.get("vertices"), "complex.vertices")
@@ -125,6 +132,16 @@ def parse_complex(obj) -> tuple[SimplicialComplex, list]:
         raise ValidationError("complex.vertices: duplicate labels")
     gens = _expect_list(obj.get("simplices"), "complex.simplices")
     parsed = [_int_list(g, f"complex.simplices[{k}]") for k, g in enumerate(gens)]
+    faces = 0
+    for vertex_set in {frozenset(g) for g in parsed}:
+        # the cap keeps the shift small; one generator past 2^16 decides it
+        faces += (1 << min(len(vertex_set), 17)) - 1
+        if faces > MAX_CLOSURE_FACES:
+            raise ValidationError(
+                "complex.simplices: closing the generators could take more than "
+                f"{MAX_CLOSURE_FACES} faces (2^k - 1 for a generator with k "
+                f"vertices); the bound is {MAX_CLOSURE_FACES}"
+            )
     try:
         cx, added = SimplicialComplex.closure(vertices, parsed)
     except UnknownVertex as exc:
@@ -216,6 +233,8 @@ def parse_poly(cls: type[LaurentPoly], obj, num_vars: int, where: str) -> Lauren
 def parse_algebra(obj, where: str = "algebra") -> ComponentAlgebra:
     """'point' or {'basis_degrees': [...], 'products': {'i,j': [...]},
     'integration' handled by the component parser}."""
+    from .equivariant import ComponentAlgebra
+
     if obj == "point":
         return ComponentAlgebra.point()
     obj = _expect_object(obj, where)
@@ -239,6 +258,8 @@ def parse_algebra(obj, where: str = "algebra") -> ComponentAlgebra:
 
 
 def _parse_restriction(obj, algebra: ComponentAlgebra, fc: FixedComponent, where: str) -> EquivariantElement:
+    from .equivariant import EquivariantElement, GradedPoly
+
     r = fc.num_vars
     if obj == "unit":
         return EquivariantElement.unit(algebra, r)
@@ -263,6 +284,8 @@ def _parse_restriction(obj, algebra: ComponentAlgebra, fc: FixedComponent, where
 
 
 def parse_abbv_input(obj) -> tuple[list[FixedComponent], list[EquivariantElement]]:
+    from .equivariant import EquivariantElement, FixedComponent, GradedPoly, LinearForm
+
     obj = _expect_object(obj, "input")
     nv = obj.get("num_vars")
     if isinstance(nv, bool) or not isinstance(nv, int) or nv < 1:
@@ -326,6 +349,8 @@ def parse_abbv_input(obj) -> tuple[list[FixedComponent], list[EquivariantElement
 
 
 def parse_ktheory_input(obj) -> list[KFixedPoint]:
+    from .ktheory import KFixedPoint, LaurentPoly
+
     obj = _expect_object(obj, "input")
     nv = obj.get("num_vars")
     if isinstance(nv, bool) or not isinstance(nv, int) or nv < 1:

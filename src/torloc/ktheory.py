@@ -22,11 +22,11 @@ and never reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .poly import Exponents, LaurentPoly
+from .record import Record
 
 __all__ = [
     "TrivialCharacter",
@@ -187,10 +187,10 @@ class LaurentRational:
         return f"LaurentRational({self})"
 
 
-@dataclass(frozen=True)
-class KFixedPoint:
+class KFixedPoint(Record):
     """An isolated fixed point: fiber character and conormal characters."""
 
+    __slots__ = ("fiber", "conormals")
     fiber: LaurentPoly
     conormals: tuple[Exponents, ...]
 

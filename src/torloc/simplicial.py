@@ -272,14 +272,16 @@ class CochainComplex:
 
     ``dims[d]`` is the rank in degree d and ``differentials[d]`` the
     matrix of d: C^d -> C^{d+1} (rows index degree d+1).  d squared = 0 is
-    verified at construction.
+    verified at construction.  ``torsor.cohomology`` keeps the cohomology
+    bases it builds in ``_cohomology``, by degree.
     """
 
-    __slots__ = ("dims", "differentials")
+    __slots__ = ("dims", "differentials", "_cohomology")
 
     def __init__(self, dims: Sequence[int], differentials: Sequence[Matrix]):
         self.dims = tuple(int(d) for d in dims)
         self.differentials = tuple(differentials)
+        self._cohomology = {}
         problems: list[str] = []
         if any(d < 0 for d in self.dims):
             problems.append("negative dimension")
@@ -472,13 +474,15 @@ class CochainPair:
     quotient, which plays the role of the open part.  Both the simplicial
     pair (complex, closed vertex selection) and the tensor product of two
     pairs are instances, so the long-exact-sequence machinery upstream is
-    written once against this interface.
+    written once against this interface.  ``torsor.les`` keeps the degrees
+    of the sequence it computes in ``_les``.
     """
 
-    __slots__ = ("absolute", "supported", "_quot", "relative", "quotient")
+    __slots__ = ("absolute", "supported", "_quot", "relative", "quotient", "_les")
 
     def __init__(self, absolute: CochainComplex, supported: Sequence[Sequence[int]]):
         self.absolute = absolute
+        self._les = {}
         if len(supported) != len(absolute.dims):
             raise ValueError("need one index list per degree")
         self.supported = tuple(tuple(sorted(set(s))) for s in supported)

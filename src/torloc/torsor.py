@@ -21,11 +21,11 @@ declines otherwise rather than invent a preferred point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .linalg import AffineSubspace, Matrix, Vector, vec
+from .record import Record
 from .simplicial import CochainComplex, CochainPair, tensor_cochain
 
 __all__ = [
@@ -61,9 +61,11 @@ class NotInTorsor(Exception):
 class CohomologyBasis:
     """Deterministic basis of H^d of a cochain complex.
 
-    Representatives are selected greedily from the canonical kernel basis
-    of the degree-d differential, keeping those independent modulo the
-    image of the degree-(d-1) one.  Determinism of the underlying
+    Representatives are the vectors of the canonical kernel basis of the
+    degree-d differential that are independent, modulo the image of the
+    degree-(d-1) one, of the kernel vectors before them.  One elimination
+    of the columns [image | kernel] finds them: a kernel vector is kept
+    exactly when its column is a pivot.  Determinism of the underlying
     elimination makes the basis canonical for the complex, so equal
     complexes yield equal bases.
     """
@@ -76,15 +78,12 @@ class CohomologyBasis:
         n = cx.dim(degree)
         kernel = cx.differential(degree).kernel_basis() if n else []
         image = cx.differential(degree - 1).image_basis() if n else []
-        reps: list[Vector] = []
-        span = Matrix.from_columns(list(image), rows=n)
-        for k in kernel:
-            if span.solve(k) is None:
-                reps.append(k)
-                span = Matrix.from_columns(list(image) + reps, rows=n)
+        # the image columns are independent, so each of them is a pivot
+        _, pivots = Matrix.from_columns(image + kernel, rows=n).rref()
+        reps = [kernel[p - len(image)] for p in pivots if p >= len(image)]
         self.representatives = tuple(reps)
         self.boundaries = tuple(image)
-        self._coord_mat = Matrix.from_columns(list(reps) + list(image), rows=n)
+        self._coord_mat = Matrix.from_columns(reps + image, rows=n)
 
     @property
     def dim(self) -> int:
@@ -126,15 +125,22 @@ class CohomologyBasis:
 
 
 def cohomology(cx: CochainComplex, degree: int) -> CohomologyBasis:
-    """H^degree of the complex with its canonical basis."""
-    return CohomologyBasis(cx, degree)
+    """H^degree of the complex with its canonical basis.
+
+    The basis is built once per complex and degree, and kept on the
+    complex.
+    """
+    basis = cx._cohomology.get(degree)
+    if basis is None:
+        basis = cx._cohomology[degree] = CohomologyBasis(cx, degree)
+    return basis
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Record):
     """A class pinned to a basis: coordinates plus the distinguished
     representative cocycle."""
 
+    __slots__ = ("basis", "coordinates", "representative")
     basis: CohomologyBasis
     coordinates: Vector
     representative: Vector
@@ -147,8 +153,7 @@ class CohomologyClass:
         return all(c == 0 for c in self.coordinates)
 
 
-@dataclass(frozen=True)
-class LESData:
+class LESData(Record):
     """One degree of the localization long exact sequence.
 
     Matrices act on coordinates: ``forget`` maps supported classes of the
@@ -157,6 +162,8 @@ class LESData:
     into supported classes of the given degree.
     """
 
+    __slots__ = ("pair", "degree", "basis_rel", "basis_abs", "basis_quot",
+                 "basis_quot_prev", "forget", "restrict", "connect")
     pair: CochainPair
     degree: int
     basis_rel: CohomologyBasis
@@ -177,8 +184,17 @@ def _matrix_of(
 
 
 def les(pair: CochainPair, degree: int) -> LESData:
-    """The three maps of the long exact sequence around H^degree."""
-    d = degree
+    """The three maps of the long exact sequence around H^degree.
+
+    Each degree is computed once per pair, and kept on the pair.
+    """
+    seq = pair._les.get(degree)
+    if seq is None:
+        seq = pair._les[degree] = _les(pair, degree)
+    return seq
+
+
+def _les(pair: CochainPair, d: int) -> LESData:
     rel = cohomology(pair.relative, d)
     ab = cohomology(pair.absolute, d)
     quot = cohomology(pair.quotient, d)
@@ -202,10 +218,11 @@ def les(pair: CochainPair, degree: int) -> LESData:
     return LESData(pair, d, rel, ab, quot, quot_prev, forget, restrict, connect)
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(Record):
     """Per-degree exactness verdicts; ``ok`` is the conjunction."""
 
+    __slots__ = ("degrees", "composite_zero", "exact_at_rel", "exact_at_abs",
+                 "exact_at_quot")
     degrees: tuple[int, ...]
     composite_zero: dict[int, bool]
     exact_at_rel: dict[int, bool]
@@ -341,8 +358,7 @@ def canonical_lift_if_unique(t: LiftTorsor) -> CohomologyClass | None:
     return t.ambient.element(t.base_lift)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(Record):
     """Verdict on a candidate refinement of a class.
 
     ``triangle_ok``: forgetting the candidate returns the class (the
@@ -351,6 +367,7 @@ class FactorizationReport:
     are computed independently and reported.
     """
 
+    __slots__ = ("candidate", "triangle_ok", "member", "reason")
     candidate: Vector
     triangle_ok: bool
     member: bool

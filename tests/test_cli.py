@@ -18,7 +18,7 @@ import torloc
 from torloc import cli
 from torloc.cli import emit, main
 from torloc.equivariant import EquivariantElement
-from torloc.io import parse_abbv_input, parse_json_text
+from torloc.io import ValidationError, parse_abbv_input, parse_complex, parse_json_text
 
 DATASETS = Path(torloc.__file__).parent / "datasets"
 
@@ -185,6 +185,34 @@ def test_float_input_exits_two(capsys, tmp_path):
     assert "inexact" in err
 
 
+def test_oversized_closure_exits_two_at_once(tmp_path):
+    # one 40-vertex generator would close to 2^40 - 1 faces
+    p = tmp_path / "simplex40.json"
+    p.write_text(json.dumps({
+        "complex": {"vertices": [f"v{i}" for i in range(40)], "simplices": [list(range(40))]},
+        "closed_vertices": [0],
+    }))
+    r = subprocess.run(
+        [sys.executable, "-m", "torloc", "les", "--input", str(p)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "65536" in r.stderr and "complex.simplices" in r.stderr
+
+
+def test_closure_bound_counts_distinct_generators():
+    # one 16-vertex generator, given twice, plus one vertex: 2^16 - 1 + 1
+    # faces, exactly at the bound, is allowed
+    obj = {"vertices": [f"v{i}" for i in range(17)],
+           "simplices": [list(range(16)), list(range(15, -1, -1)), [16]]}
+    cx, _ = parse_complex(obj)
+    assert cx.simplex_count() == 2**16
+    obj["simplices"].append([16, 0])
+    with pytest.raises(ValidationError, match="the bound is 65536"):
+        parse_complex(obj)
+
+
 def test_negative_degree_exits_two(capsys):
     code, out, err = run(
         capsys, "les", "--input", DATASETS / "circle_lifts.json", "--degree", "-1"
@@ -326,6 +354,41 @@ def test_unused_import_scan_flags_only_unused_names():
         "def f(a: 'Mapping') -> Sequence: return a\n"
     )
     assert _unused_imports(tree) == ["os (line 2)", "Dropped (line 4)"]
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from torloc.cli import main
+
+codes = []
+for command in ("les", "lifts"):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main([command, "--input", sys.argv[1]]))
+unwanted = ("dataclasses", "inspect",
+            "torloc.equivariant", "torloc.ktheory", "torloc.poly", "torloc.suite")
+print(json.dumps({"codes": codes, "loaded": sorted(m for m in unwanted if m in sys.modules)}))
+"""
+
+
+def test_pair_commands_import_no_dataclasses_and_no_unused_engine():
+    # a fresh interpreter: the cold start of les and lifts stays free of
+    # dataclasses, inspect and the polynomial engines
+    r = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(DATASETS / "circle_lifts.json")],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"codes": [0, 0], "loaded": []}
+
+
+def test_package_names_resolve_on_first_use():
+    assert len(torloc.__all__) == 42
+    for name in torloc.__all__:
+        value = getattr(torloc, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(torloc)
+    with pytest.raises(AttributeError):
+        torloc.no_such_name
 
 
 _SYMPY_PROBE = """

@@ -3,7 +3,8 @@
 The literal matrices below pin the canonical forms (first-nonzero
 pivoting, free-variables-zero solutions, free-variable kernel basis);
 any change to the conventions shows up here before it can silently move
-every downstream basis.
+every downstream basis.  The dense Gauss-Jordan kept below is the oracle
+that the sparse kernel behind ``Matrix`` is checked against.
 """
 
 from fractions import Fraction
@@ -15,14 +16,16 @@ from hypothesis import strategies as st
 from torloc.linalg import AffineSubspace, Matrix, frac, vec, zero_vec
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# mostly zeros, as in coboundary matrices, plus non-unit rationals
+sparse_fracs = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(-1)), fracs)
 
 
 @st.composite
-def matrices(draw, max_rows=12, max_cols=12):
+def matrices(draw, max_rows=12, max_cols=12, entries=fracs):
     r = draw(st.integers(0, max_rows))
     c = draw(st.integers(0, max_cols))
-    entries = draw(st.lists(fracs, min_size=r * c, max_size=r * c))
-    return Matrix(r, c, entries)
+    values = draw(st.lists(entries, min_size=r * c, max_size=r * c))
+    return Matrix(r, c, values)
 
 
 def test_frac_rejects_floats():
@@ -180,3 +183,120 @@ def test_affine_membership_roundtrip(base, coeffs):
     s = AffineSubspace(3, base, [[1, 0, 2], [0, 1, -1]])
     p = s.point_at(coeffs)
     assert s.membership(p) == vec(coeffs)
+
+
+# -- the dense oracle ------------------------------------------------------
+
+
+def dense_eliminate(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
+    # dense Gauss-Jordan, pivot search restricted to the leading pivot_cols
+    # columns (so an augmented column can never become a pivot)
+    pivots: list[int] = []
+    r = 0
+    for c in range(pivot_cols):
+        hit = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                hit = i
+                break
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [e / pv for e in rows[r]]
+        lead = rows[r]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def dense_rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    work = [list(m.row(i)) for i in range(m.rows)]
+    pivots = dense_eliminate(work, m.cols)
+    return Matrix(m.rows, m.cols, [x for row in work for x in row]), pivots
+
+
+def dense_kernel_basis(m: Matrix) -> list[tuple]:
+    r, pivots = dense_rref(m)
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for row, p in enumerate(pivots):
+            v[p] = -r.entry(row, f)
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(m: Matrix, b) -> tuple | None:
+    if m.rows == 0:
+        return zero_vec(m.cols)
+    work = [list(m.row(i)) + [frac(b[i])] for i in range(m.rows)]
+    pivots = dense_eliminate(work, m.cols)
+    if any(work[i][m.cols] for i in range(len(pivots), m.rows)):
+        return None
+    x = [Fraction(0)] * m.cols
+    for row, p in enumerate(pivots):
+        x[p] = work[row][m.cols]
+    return tuple(x)
+
+
+@settings(max_examples=200)
+@given(matrices(max_rows=9, max_cols=9, entries=sparse_fracs), st.data())
+def test_sparse_kernel_matches_dense_oracle(m, data):
+    reduced, pivots = dense_rref(m)
+    assert m.rref() == (reduced, pivots)
+    assert all(type(x) is Fraction for i in range(m.rows) for x in m.rref()[0].row(i))
+    assert m.rank() == len(pivots)
+    kernel = m.kernel_basis()
+    assert kernel == dense_kernel_basis(m)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    assert m.image_basis() == [m.column(p) for p in pivots]
+    # an arbitrary right-hand side is often inconsistent; an image vector never is
+    b = data.draw(st.lists(sparse_fracs, min_size=m.rows, max_size=m.rows))
+    x = m.solve(b)
+    assert x == dense_solve(m, b)
+    assert x is None or all(type(v) is Fraction for v in x)
+    c = data.draw(st.lists(sparse_fracs, min_size=m.cols, max_size=m.cols))
+    image = m.apply(c)
+    assert m.solve(image) == dense_solve(m, image) is not None
+
+
+def test_sparse_kernel_degenerate_shapes():
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1)):
+        m = Matrix.zeros(rows, cols)
+        assert m.rref() == dense_rref(m)
+        assert m.kernel_basis() == dense_kernel_basis(m)
+        assert m.solve([0] * rows) == dense_solve(m, [0] * rows)
+    assert Matrix.zeros(2, 0).solve([1, 0]) is None
+    assert Matrix.zeros(2, 0).solve([0, 0]) == ()
+    assert Matrix.zeros(0, 2).solve([]) == zero_vec(2)
+
+
+def test_rref_is_computed_once_and_shared():
+    m = Matrix.from_rows([[2, 4, 1], [1, 2, 0]])
+    calls = []
+    original = Matrix.rref
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    Matrix.rref = counting
+    try:
+        assert m.rank() == 2
+        assert m.kernel_basis() == [vec([-2, 1, 0])]
+        assert m.image_basis() == [vec([2, 1]), vec([1, 0])]
+        r1, p1 = m.rref()
+        p1.append(99)  # the caller's copy; the kept form is unchanged
+        assert m.rref()[1] == [0, 2]
+    finally:
+        Matrix.rref = original
+    assert calls == [m, m, m]

@@ -12,9 +12,18 @@ from fractions import Fraction
 import pytest
 
 from torloc.linalg import Matrix, vec, zero_vec
-from torloc.simplicial import CochainPair, SimplicialComplex, tensor_complex
+from torloc.record import Record
+from torloc.simplicial import (
+    CochainPair,
+    SimplicialComplex,
+    complement_subcomplex,
+    relative_cochain_complex,
+    tensor_complex,
+)
 from torloc.suite import random_pair, random_supported_class
 from torloc.torsor import (
+    CohomologyClass,
+    ExactnessReport,
     NotInTorsor,
     NotSupported,
     canonical_lift_if_unique,
@@ -420,3 +429,131 @@ def test_kunneth_dimension_identity_on_product_pairs():
                 for p in range(n + 1)
             )
             assert cohomology(prod.relative, n).dim == want
+
+
+# -- the one-pass basis against the greedy oracle ---------------------------
+
+
+def greedy_basis(cx, degree):
+    """The oracle of the one-pass basis, greedy selection: a kernel vector
+    is kept when it is outside the span of the image and of the vectors
+    kept before it, one solve per kernel vector."""
+    n = cx.dim(degree)
+    kernel = cx.differential(degree).kernel_basis() if n else []
+    image = cx.differential(degree - 1).image_basis() if n else []
+    reps = []
+    span = Matrix.from_columns(list(image), rows=n)
+    for k in kernel:
+        if span.solve(k) is None:
+            reps.append(k)
+            span = Matrix.from_columns(list(image) + reps, rows=n)
+    coords = Matrix.from_columns(reps + list(image), rows=n)
+    return reps, image, kernel, coords
+
+
+def torus_pair(k: int) -> CochainPair:
+    """The k x k grid torus, each square cut along its diagonal, against
+    the closed vertex (0, 0)."""
+    def at(i, j):
+        return (i % k) * k + (j % k)
+
+    tris = []
+    for i in range(k):
+        for j in range(k):
+            tris.append([at(i, j), at(i + 1, j), at(i + 1, j + 1)])
+            tris.append([at(i, j), at(i, j + 1), at(i + 1, j + 1)])
+    cx, _ = SimplicialComplex.closure([f"p{i}" for i in range(k * k)], tris)
+    return CochainPair.from_selection(cx, cx.full_subcomplex([0]))
+
+
+def assert_basis_matches_greedy(cx):
+    for d in range(cx.max_degree() + 2):
+        basis = cohomology(cx, d)
+        reps, image, kernel, coords = greedy_basis(cx, d)
+        assert basis.representatives == tuple(reps)
+        assert basis.boundaries == tuple(image)
+        for v in kernel:
+            assert basis.coordinates(v) == coords.solve(v)[: len(reps)]
+
+
+def test_one_pass_basis_matches_greedy_on_random_pairs():
+    rng = random.Random(4242)
+    for _ in range(40):
+        _, _, pair = random_pair(rng)
+        for cx in (pair.absolute, pair.relative, pair.quotient):
+            assert_basis_matches_greedy(cx)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_one_pass_basis_matches_greedy_on_tori(k):
+    pair = torus_pair(k)
+    assert cohomology(pair.absolute, 1).dim == 2
+    for cx in (pair.absolute, pair.relative, pair.quotient):
+        assert_basis_matches_greedy(cx)
+
+
+def test_groups_and_sequence_degrees_are_built_once():
+    _, pair = circle_pair()
+    assert cohomology(pair.absolute, 1) is cohomology(pair.absolute, 1)
+    seq = les(pair, 1)
+    assert les(pair, 1) is seq
+    assert seq.basis_abs is cohomology(pair.absolute, 1)
+    report = check_exactness(pair)
+    assert les(pair, 1) is seq and report.ok
+    # a fresh pair over the same complex builds its own
+    _, other = circle_pair()
+    assert les(other, 1) is not seq and les(other, 1) == les(other, 1)
+
+
+def test_relative_complex_of_a_pair_matches_relative_cochain_complex():
+    rng = random.Random(2718)
+    for _ in range(200):
+        x, z, pair = random_pair(rng)
+        assert pair.relative == relative_cochain_complex(x, complement_subcomplex(x, z))
+
+
+# -- the record base of the result types ------------------------------------
+
+
+def test_records_compare_hash_and_print_by_fields():
+    a = ExactnessReport((0,), {0: True}, {0: True}, {0: True}, {0: True})
+    b = ExactnessReport((0,), {0: True}, {0: True}, {0: True}, {0: True})
+    assert a == b and a is not b
+    assert a != ExactnessReport((0,), {0: False}, {0: True}, {0: True}, {0: True})
+    assert repr(a) == (
+        "ExactnessReport(degrees=(0,), composite_zero={0: True}, "
+        "exact_at_rel={0: True}, exact_at_abs={0: True}, exact_at_quot={0: True})"
+    )
+    _, pair = circle_pair()
+    basis = cohomology(pair.absolute, 1)
+    c1 = CohomologyClass(basis, vec([1]), basis.vector([1]))
+    c2 = CohomologyClass(basis, vec([1]), basis.vector([1]))
+    assert c1 == c2 and hash(c1) == hash(c2)
+    assert {c1, c2} == {c1}
+    assert c1 != CohomologyClass(basis, vec([2]), basis.vector([2]))
+
+
+def test_records_of_different_classes_differ():
+    class Pair(Record):
+        __slots__ = ("first", "second")
+
+    class Other(Record):
+        __slots__ = ("first", "second")
+
+    assert Pair(1, 2) == Pair(1, 2)
+    assert Pair(1, 2) != Other(1, 2)
+    assert Pair(1, 2) != (1, 2)
+    with pytest.raises(TypeError):
+        Pair(1)
+
+
+def test_records_refuse_assignment():
+    _, pair = circle_pair()
+    target = cohomology(pair.absolute, 1).element([1])
+    with pytest.raises(AttributeError):
+        target.coordinates = vec([2])
+    with pytest.raises(AttributeError):
+        target.extra = 1
+    with pytest.raises(AttributeError):
+        del target.basis
+    assert target.coordinates == vec([1])
