@@ -7,11 +7,13 @@ particular solutions set every free variable to zero.  With exact
 arithmetic there is no stability reason to deviate, and fixed conventions
 make every downstream basis and report reproducible bit for bit.
 
-Matrices are stored dense, but elimination runs on sparse rows, which map
-a column to its nonzero entry, and products and matrix-vector products run
-over the nonzeros only, so their cost follows the nonzeros, not the shape.
-The conventions above are unchanged by this: the pivot rule is the same,
-and the reduced row echelon form is unique anyway.
+A matrix is stored as its sparse rows and nothing else: each row maps the
+column of a nonzero entry to that entry.  Elimination, products and
+matrix-vector products run over the nonzeros, so time and memory follow
+the nonzeros, not the shape.  The public methods take and return dense
+tuples of Fractions, converted at the boundary from the one sparse
+implementation.  The conventions above are unchanged by this: the pivot
+rule is the same, and the reduced row echelon form is unique anyway.
 
 All values are immutable and all operations are pure.
 """
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 def frac(x: int | str | Fraction) -> Fraction:
@@ -47,14 +50,15 @@ def vec(values: Iterable) -> Vector:
 
 
 def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
-# Sparse rows map a column to its nonzero entry.  An integral entry is
-# held as an int, so that the +-1 entries of coboundary matrices cost int
-# arithmetic, not Fraction arithmetic; entries leave a sparse row as
-# Fractions again.  Nothing divides two ints.
+# Sparse rows and vectors map a position to its nonzero entry.  An
+# integral entry is held as an int, so that the +-1 entries of coboundary
+# matrices cost int arithmetic, not Fraction arithmetic; entries leave
+# the sparse form as Fractions again.  Nothing divides two ints.
 Entry = int | Fraction
+Sparse = dict[int, Entry]
 
 
 def _compact(x: Fraction) -> Entry:
@@ -63,6 +67,29 @@ def _compact(x: Fraction) -> Entry:
 
 def _as_fraction(x: Entry) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _sparse(values: Iterable) -> Sparse:
+    """The nonzero entries of a dense vector, by position."""
+    out: Sparse = {}
+    for j, x in enumerate(values):
+        x = x if type(x) is int else _compact(frac(x))
+        if x:
+            out[j] = x
+    return out
+
+
+def _dense(v: Sparse, n: int) -> Vector:
+    """The length-n vector of Fractions with the entries of v, zero elsewhere."""
+    out = [_ZERO] * n
+    for j, x in v.items():
+        out[j] = _as_fraction(x)
+    return tuple(out)
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative dimensions")
 
 
 _NO_LEAD = 1 << 62  # leading column of a row with no nonzero entry
@@ -140,136 +167,122 @@ def _eliminate(rows: list[dict[int, Entry]], pivot_cols: int) -> list[int]:
 
 
 class Matrix:
-    """Immutable dense matrix with Fraction entries, stored row major.
+    """Immutable matrix of rationals, stored as its sparse rows only.
 
-    The nonzeros of each row and the reduced row echelon form are computed
-    on first use and kept on the instance.
+    ``_nonzeros[i]`` maps the column of each nonzero entry of row i to the
+    entry; a zero entry is never stored.  ``entry``, ``row``, ``column``
+    and the bases build Fractions on demand.  The reduced row echelon form
+    is computed on first use and kept on the instance.
     """
 
-    __slots__ = ("rows", "cols", "_e", "_nonzeros", "_rref")
+    __slots__ = ("rows", "cols", "_nonzeros", "_rref")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        e = tuple(frac(x) for x in entries)
+        _check_shape(rows, cols)
+        e = list(entries)
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
         self.rows = rows
         self.cols = cols
-        self._e = e
-        self._nonzeros = None
+        self._nonzeros = [_sparse(e[i * cols : (i + 1) * cols]) for i in range(rows)]
         self._rref = None
 
     @classmethod
-    def _from_nonzeros(cls, rows: int, cols: int, nonzeros: list[dict[int, Entry]]) -> "Matrix":
-        """The matrix whose row i has the entries ``nonzeros[i]``, zero elsewhere."""
-        zero = Fraction(0)
-        e: list[Fraction] = []
-        for row in nonzeros:
-            dense = [zero] * cols
-            for j, x in row.items():
-                dense[j] = _as_fraction(x)
-            e.extend(dense)
+    def _from_nonzeros(cls, rows: int, cols: int, nonzeros: list[Sparse]) -> "Matrix":
+        """The matrix whose row i has the entries ``nonzeros[i]``, zero
+        elsewhere.  The rows are taken over, not copied."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m._e = tuple(e)
         m._nonzeros = nonzeros
         m._rref = None
         return m
 
     @classmethod
+    def _from_columns(cls, rows: int, columns: Sequence[Sparse]) -> "Matrix":
+        """The matrix whose column j has the entries ``columns[j]``."""
+        nonzeros: list[Sparse] = [{} for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                nonzeros[i][j] = x
+        return cls._from_nonzeros(rows, len(columns), nonzeros)
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         n = len(rows)
         m = len(rows[0]) if n else 0
-        flat = []
-        for row in rows:
-            if len(row) != m:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(n, m, flat)
+        if any(len(row) != m for row in rows):
+            raise ValueError("ragged rows")
+        return cls._from_nonzeros(n, m, [_sparse(row) for row in rows])
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], rows: int | None = None) -> "Matrix":
         if not cols:
             if rows is None:
                 raise ValueError("need explicit row count for empty column list")
-            return cls(rows, 0, [])
+            return cls.zeros(rows, 0)
         n = len(cols[0])
         if rows is not None and rows != n:
             raise ValueError("explicit row count disagrees with column length")
-        if n == 0:
-            # keep the column count; from_rows would collapse to 0 x 0
-            return cls(0, len(cols), [])
-        return cls.from_rows([[col[i] for col in cols] for i in range(n)])
+        if any(len(col) != n for col in cols):
+            raise ValueError("ragged columns")
+        return cls._from_columns(n, [_sparse(col) for col in cols])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        _check_shape(n, n)
+        return cls._from_nonzeros(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._from_nonzeros(rows, cols, [{} for _ in range(rows)])
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._e[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("matrix index out of range")
+        return _as_fraction(self._nonzeros[i].get(j, 0))
 
     def row(self, i: int) -> Vector:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        if not 0 <= i < self.rows:
+            raise IndexError("row index out of range")
+        return _dense(self._nonzeros[i], self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return tuple(_as_fraction(row.get(j, 0)) for row in self._nonzeros)
 
-    def _rows_nonzero(self) -> list[dict[int, Entry]]:
-        """The sparse rows: ``{column: entry}`` over the nonzero entries of
-        each row.  Shared, so callers must not mutate them."""
-        if self._nonzeros is None:
-            e, c = self._e, self.cols
-            self._nonzeros = [
-                {j: _compact(x) for j, x in enumerate(e[i * c : (i + 1) * c]) if x}
-                for i in range(self.rows)
-            ]
-        return self._nonzeros
+    def _submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The matrix of the given rows and columns, in the given order."""
+        pos = {j: k for k, j in enumerate(cols)}
+        return Matrix._from_nonzeros(len(rows), len(cols), [
+            {pos[j]: x for j, x in self._nonzeros[i].items() if j in pos} for i in rows
+        ])
 
     def is_zero(self) -> bool:
-        return not any(self._e)
+        return not any(self._nonzeros)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self._e) == (other.rows, other.cols, other._e)
+        # an int and the equal Fraction compare and hash alike
+        return (self.rows, self.cols, self._nonzeros) == (other.rows, other.cols, other._nonzeros)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._e))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._nonzeros)))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        right = other._rows_nonzero()
+        right = other._nonzeros
         out = []
-        for row in self._rows_nonzero():
-            acc: dict[int, Entry] = {}
+        for row in self._nonzeros:
+            acc: Sparse = {}
             for k, a in row.items():
                 _add_scaled(acc, a, right[k].items())
             out.append(acc)
         return Matrix._from_nonzeros(self.rows, other.cols, out)
-
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self._e])
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product; v has length self.cols."""
@@ -277,7 +290,7 @@ class Matrix:
             raise ValueError("length mismatch")
         w = vec(v)
         return tuple(sum((a * w[k] for k, a in row.items()), Fraction(0))
-                     for row in self._rows_nonzero())
+                     for row in self._nonzeros)
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form and pivot column indices.
@@ -287,7 +300,7 @@ class Matrix:
         per matrix.
         """
         if self._rref is None:
-            work = [dict(row) for row in self._rows_nonzero()]
+            work = [dict(row) for row in self._nonzeros]
             pivots = _eliminate(work, self.cols)
             self._rref = (Matrix._from_nonzeros(self.rows, self.cols, work), tuple(pivots))
         reduced, pivots = self._rref
@@ -302,28 +315,52 @@ class Matrix:
     def rank(self) -> int:
         return len(self._reduced()[1])
 
+    def _kernel(self) -> list[Sparse]:
+        """``kernel_basis`` as sparse vectors."""
+        reduced, pivots = self._reduced()
+        pivot_set = set(pivots)
+        basis = {f: {f: 1} for f in range(self.cols) if f not in pivot_set}
+        for p, row in zip(pivots, reduced._nonzeros):
+            for f, x in row.items():
+                if f != p:
+                    basis[f][p] = -x
+        return list(basis.values())
+
     def kernel_basis(self) -> list[Vector]:
         """Canonical basis of the right kernel.
 
         One vector per free column f, in ascending f order: entry 1 at f,
         minus the rref entry at each pivot column, zero elsewhere.
         """
-        reduced, pivots = self._reduced()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        zero = Fraction(0)
-        basis = {f: [zero] * self.cols for f in free}
-        for f in free:
-            basis[f][f] = Fraction(1)
-        for p, row in zip(pivots, reduced._rows_nonzero()):
-            for f, x in row.items():
-                if f != p:
-                    basis[f][p] = _as_fraction(-x)
-        return [tuple(basis[f]) for f in free]
+        return [_dense(v, self.cols) for v in self._kernel()]
+
+    def _image(self) -> list[Sparse]:
+        """``image_basis`` as sparse vectors, by one pass over the nonzeros."""
+        cols: dict[int, Sparse] = {p: {} for p in self._reduced()[1]}
+        for i, row in enumerate(self._nonzeros):
+            for j, x in row.items():
+                if j in cols:
+                    cols[j][i] = x
+        return list(cols.values())
 
     def image_basis(self) -> list[Vector]:
         """Pivot columns of the original matrix, in pivot order."""
-        return [self.column(p) for p in self._reduced()[1]]
+        return [_dense(v, self.rows) for v in self._image()]
+
+    def _solve(self, rhs: "Matrix") -> "Matrix | None":
+        """The canonical particular solution X of self * X = rhs, column
+        by column, from one elimination of [self | rhs]; None when any
+        column of rhs is outside the image."""
+        n = self.cols
+        work = [{**row, **{n + j: x for j, x in b.items()}}
+                for row, b in zip(self._nonzeros, rhs._nonzeros)]
+        pivots = _eliminate(work, n)
+        if any(work[len(pivots) :]):
+            return None
+        out: list[Sparse] = [{} for _ in range(n)]
+        for p, row in zip(pivots, work):
+            out[p] = {k - n: x for k, x in row.items() if k >= n}
+        return Matrix._from_nonzeros(n, rhs.cols, out)
 
     def solve(self, b: Sequence) -> Vector | None:
         """Canonical particular solution of self * x = b, or None.
@@ -333,24 +370,8 @@ class Matrix:
         """
         if len(b) != self.rows:
             raise ValueError("length mismatch")
-        rhs = vec(b)
-        if self.rows == 0:
-            return zero_vec(self.cols)
-        n = self.cols
-        work = []
-        for row, x in zip(self._rows_nonzero(), rhs):
-            row = dict(row)
-            if x:
-                row[n] = _compact(x)
-            work.append(row)
-        pivots = _eliminate(work, n)
-        if any(work[len(pivots) :]):
-            return None
-        x = [Fraction(0)] * n
-        for p, row in zip(pivots, work):
-            if n in row:
-                x[p] = _as_fraction(row[n])
-        return tuple(x)
+        x = self._solve(Matrix.from_columns([b], rows=self.rows))
+        return None if x is None else x.column(0)
 
 
 class AffineSubspace:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Matrix, Vector, vec
+from .linalg import Matrix, Sparse, Vector, vec
 
 __all__ = [
     "UnknownVertex",
@@ -228,9 +228,6 @@ class SubcomplexSelection:
     def complement_vertices(self) -> frozenset[int]:
         return frozenset(range(self.parent.n_vertices)) - self.vertices
 
-    def simplex_is_selected(self, s: Simplex) -> bool:
-        return all(v in self.vertices for v in s)
-
     def subcomplex(self) -> SimplicialComplex:
         """The induced subcomplex as a standalone complex.
 
@@ -328,15 +325,13 @@ class CochainComplex:
 
 
 def _coboundary(x: SimplicialComplex, d: int) -> Matrix:
-    lo = x.simplices_of(d)
-    hi = x.simplices_of(d + 1)
-    idx = {s: k for k, s in enumerate(lo)}
-    entries = [[Fraction(0)] * len(lo) for _ in hi]
-    for r, s in enumerate(hi):
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1 :]
-            entries[r][idx[f]] += Fraction((-1) ** i)
-    return Matrix.from_rows(entries) if hi else Matrix.zeros(0, len(lo))
+    # x is valid, so the facets of a simplex are distinct simplices of x
+    idx = x._index.get(d, {})
+    rows = [
+        {idx[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1 for i in range(len(s))}
+        for s in x.simplices_of(d + 1)
+    ]
+    return Matrix._from_nonzeros(len(rows), len(x.simplices_of(d)), rows)
 
 
 def cochain_complex(x: SimplicialComplex) -> CochainComplex:
@@ -381,14 +376,7 @@ def relative_cochain_complex(x: SimplicialComplex, c: SimplicialComplex) -> Coch
         cset = excluded.get(d, set())
         keep.append([k for k, s in enumerate(x.simplices_of(d)) if s not in cset])
     dims = [len(k) for k in keep]
-    diffs = []
-    for d in range(top):
-        full = _coboundary(x, d)
-        rows = keep[d + 1]
-        cols = keep[d]
-        diffs.append(
-            Matrix(len(rows), len(cols), [full.entry(i, j) for i in rows for j in cols])
-        )
+    diffs = [_coboundary(x, d)._submatrix(keep[d + 1], keep[d]) for d in range(top)]
     return CochainComplex(dims, diffs)
 
 
@@ -420,28 +408,27 @@ def tensor_complex(a: CochainComplex, b: CochainComplex) -> CochainComplex:
     for n in range(top):
         src = _blocks(a, b, n)
         dst = {(p, q): off for p, q, off in _blocks(a, b, n + 1)}
-        entries = [[Fraction(0)] * dims[n] for _ in range(dims[n + 1])]
+        # Each entry is set once: block (p, q) maps into the two distinct
+        # blocks (p + 1, q) and (p, q + 1), and distinct pairs of basis
+        # vectors land in distinct cells of a block.
+        rows: list[Sparse] = [{} for _ in range(dims[n + 1])]
         for p, q, off in src:
-            da = a.differential(p)
-            db = b.differential(q)
             bq = b.dim(q)
-            for i in range(a.dim(p)):
-                for j in range(bq):
-                    col = off + i * bq + j
-                    if (p + 1, q) in dst:
-                        o = dst[(p + 1, q)]
-                        for i2 in range(a.dim(p + 1)):
-                            v = da.entry(i2, i)
-                            if v:
-                                entries[o + i2 * bq + j][col] += v
-                    if (p, q + 1) in dst:
-                        o = dst[(p, q + 1)]
-                        sign = Fraction((-1) ** p)
-                        for j2 in range(b.dim(q + 1)):
-                            v = db.entry(j2, j)
-                            if v:
-                                entries[o + i * b.dim(q + 1) + j2][col] += sign * v
-        diffs.append(Matrix.from_rows(entries) if dims[n + 1] else Matrix.zeros(0, dims[n]))
+            if (p + 1, q) in dst:
+                o = dst[(p + 1, q)]
+                for i2, arow in enumerate(a.differential(p)._nonzeros):
+                    for i, v in arow.items():
+                        for j in range(bq):
+                            rows[o + i2 * bq + j][off + i * bq + j] = v
+            if (p, q + 1) in dst:
+                o = dst[(p, q + 1)]
+                bq1 = b.dim(q + 1)
+                sign = -1 if p % 2 else 1
+                for j2, brow in enumerate(b.differential(q)._nonzeros):
+                    for j, v in brow.items():
+                        for i in range(a.dim(p)):
+                            rows[o + i * bq1 + j2][off + i * bq + j] = sign * v
+        diffs.append(Matrix._from_nonzeros(dims[n + 1], dims[n], rows))
     return CochainComplex(dims, diffs)
 
 
@@ -490,37 +477,26 @@ class CochainPair:
             if idx and (idx[0] < 0 or idx[-1] >= absolute.dim(d)):
                 raise ValueError(f"supported index out of range in degree {d}")
         self._quot = tuple(
-            tuple(j for j in range(absolute.dim(d)) if j not in set(idx))
+            tuple(sorted(set(range(absolute.dim(d))).difference(idx)))
             for d, idx in enumerate(self.supported)
         )
+        sup, quot = self.supported, self._quot
+        diffs = absolute.differentials
         # The supported subspace must be closed under the differential:
         # blocks mapping supported columns to quotient rows must vanish.
-        for d in range(absolute.max_degree()):
-            m = absolute.differential(d)
-            for i in self._quot[d + 1]:
-                for j in self.supported[d]:
-                    if m.entry(i, j):
-                        raise ValueError(
-                            f"differential leaks out of the supported subspace in degree {d}"
-                        )
+        for d, m in enumerate(diffs):
+            if not m._submatrix(quot[d + 1], sup[d]).is_zero():
+                raise ValueError(
+                    f"differential leaks out of the supported subspace in degree {d}"
+                )
         self.relative = CochainComplex(
-            [len(s) for s in self.supported],
-            [
-                self._submatrix(d, self.supported[d + 1], self.supported[d])
-                for d in range(absolute.max_degree())
-            ],
+            [len(s) for s in sup],
+            [m._submatrix(sup[d + 1], sup[d]) for d, m in enumerate(diffs)],
         )
         self.quotient = CochainComplex(
-            [len(s) for s in self._quot],
-            [
-                self._submatrix(d, self._quot[d + 1], self._quot[d])
-                for d in range(absolute.max_degree())
-            ],
+            [len(s) for s in quot],
+            [m._submatrix(quot[d + 1], quot[d]) for d, m in enumerate(diffs)],
         )
-
-    def _submatrix(self, d: int, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
-        m = self.absolute.differential(d)
-        return Matrix(len(rows), len(cols), [m.entry(i, j) for i in rows for j in cols])
 
     @classmethod
     def from_selection(cls, x: SimplicialComplex, z: SubcomplexSelection) -> "CochainPair":
@@ -529,7 +505,7 @@ class CochainPair:
         Supported cochains are those vanishing on the full subcomplex of
         the complementary vertices, i.e. spanned by simplices meeting z.
         """
-        x.require_valid()
+        absolute = cochain_complex(x)  # validates x
         if z.parent is not x and z.parent != x:
             raise NotSubcomplex("selection belongs to a different complex")
         away = z.complement_vertices()
@@ -540,7 +516,7 @@ class CochainPair:
         ]
         if top < 0:
             supported = [[]]
-        return cls(cochain_complex(x), supported)
+        return cls(absolute, supported)
 
     def tensor(self, other: "CochainPair") -> "CochainPair":
         """Tensor of pairs: supported = supported x supported.
@@ -573,15 +549,13 @@ class CochainPair:
     def _quot_at(self, d: int) -> tuple[int, ...]:
         return self._quot[d] if 0 <= d < len(self._quot) else ()
 
+    def _inclusion(self, d: int, idx: Sequence[int]) -> Matrix:
+        """The matrix placing coordinate k at the degree-d basis index idx[k]."""
+        return Matrix._from_columns(self.absolute.dim(d), [{i: 1} for i in idx])
+
     def embed_supported(self, d: int, v: Sequence) -> Vector:
         """Supported coordinates -> ambient cochain (zero on the quotient)."""
-        idx = self._supported_at(d)
-        if len(v) != len(idx):
-            raise ValueError("length mismatch")
-        out = [Fraction(0)] * self.absolute.dim(d)
-        for k, i in enumerate(idx):
-            out[i] = v[k]
-        return vec(out)
+        return self._inclusion(d, self._supported_at(d)).apply(v)
 
     def restrict_supported(self, d: int, v: Sequence) -> Vector:
         """Ambient cochain -> its supported coordinates (components kept)."""
@@ -592,13 +566,7 @@ class CochainPair:
 
     def embed_quotient(self, d: int, v: Sequence) -> Vector:
         """Quotient coordinates -> ambient section (zero on supported)."""
-        idx = self._quot_at(d)
-        if len(v) != len(idx):
-            raise ValueError("length mismatch")
-        out = [Fraction(0)] * self.absolute.dim(d)
-        for k, i in enumerate(idx):
-            out[i] = v[k]
-        return vec(out)
+        return self._inclusion(d, self._quot_at(d)).apply(v)
 
     def restrict_quotient(self, d: int, v: Sequence) -> Vector:
         """Ambient cochain -> quotient coordinates (restriction map)."""

@@ -21,7 +21,6 @@ declines otherwise rather than invent a preferred point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .linalg import AffineSubspace, Matrix, Vector, vec
@@ -67,50 +66,61 @@ class CohomologyBasis:
     of the columns [image | kernel] finds them: a kernel vector is kept
     exactly when its column is a pivot.  Determinism of the underlying
     elimination makes the basis canonical for the complex, so equal
-    complexes yield equal bases.
+    complexes yield equal bases.  The basis is kept as the sparse matrix
+    [representatives | boundaries], and its columns are built dense on
+    demand.
     """
 
-    __slots__ = ("complex", "degree", "representatives", "boundaries", "_coord_mat")
+    __slots__ = ("complex", "degree", "_reps", "_coord_mat")
 
     def __init__(self, cx: CochainComplex, degree: int):
         self.complex = cx
         self.degree = degree
         n = cx.dim(degree)
-        kernel = cx.differential(degree).kernel_basis() if n else []
-        image = cx.differential(degree - 1).image_basis() if n else []
+        kernel = cx.differential(degree)._kernel() if n else []
+        image = cx.differential(degree - 1)._image() if n else []
         # the image columns are independent, so each of them is a pivot
-        _, pivots = Matrix.from_columns(image + kernel, rows=n).rref()
+        _, pivots = Matrix._from_columns(n, image + kernel).rref()
         reps = [kernel[p - len(image)] for p in pivots if p >= len(image)]
-        self.representatives = tuple(reps)
-        self.boundaries = tuple(image)
-        self._coord_mat = Matrix.from_columns(reps + image, rows=n)
+        self._reps = Matrix._from_columns(n, reps)
+        self._coord_mat = Matrix._from_columns(n, reps + image)
+
+    @property
+    def representatives(self) -> tuple[Vector, ...]:
+        return tuple(map(self._coord_mat.column, range(self.dim)))
+
+    @property
+    def boundaries(self) -> tuple[Vector, ...]:
+        return tuple(map(self._coord_mat.column, range(self.dim, self._coord_mat.cols)))
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return self._reps.cols
 
     def is_cocycle(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.complex.differential(self.degree).apply(v))
 
+    def _coordinates(self, cocycles: Matrix) -> Matrix:
+        """The coordinates of the classes of the columns of ``cocycles``, as
+        columns, from one elimination of [representatives | boundaries |
+        cocycles]."""
+        if not cocycles.cols:
+            return Matrix.zeros(self.dim, 0)
+        if not (self.complex.differential(self.degree) * cocycles).is_zero():
+            raise ValueError("not a cocycle")
+        x = self._coord_mat._solve(cocycles)
+        if x is None:
+            raise RuntimeError("cocycle escaped the kernel decomposition")
+        return x._submatrix(range(self.dim), range(x.cols))
+
     def coordinates(self, v: Sequence) -> Vector:
         """Coordinates of the class of the cocycle v in this basis."""
-        if not self.is_cocycle(v):
-            raise ValueError("not a cocycle")
-        sol = self._coord_mat.solve(v)
-        if sol is None:
-            raise RuntimeError("cocycle escaped the kernel decomposition")
-        return sol[: self.dim]
+        n = self.complex.dim(self.degree)
+        return self._coordinates(Matrix.from_columns([v], rows=n)).column(0)
 
     def vector(self, coords: Sequence) -> Vector:
         """The distinguished representative with the given coordinates."""
-        cs = vec(coords)
-        if len(cs) != self.dim:
-            raise ValueError("length mismatch")
-        out = [Fraction(0)] * self.complex.dim(self.degree)
-        for c, rep in zip(cs, self.representatives):
-            for i, x in enumerate(rep):
-                out[i] += c * x
-        return tuple(out)
+        return self._reps.apply(coords)
 
     def element(self, coords: Sequence) -> "CohomologyClass":
         cs = vec(coords)
@@ -175,14 +185,6 @@ class LESData(Record):
     connect: Matrix
 
 
-def _matrix_of(
-    columns: list[Vector], target: CohomologyBasis
-) -> Matrix:
-    return Matrix.from_columns(
-        [target.coordinates(v) for v in columns], rows=target.dim
-    )
-
-
 def les(pair: CochainPair, degree: int) -> LESData:
     """The three maps of the long exact sequence around H^degree.
 
@@ -200,20 +202,16 @@ def _les(pair: CochainPair, d: int) -> LESData:
     quot = cohomology(pair.quotient, d)
     quot_prev = cohomology(pair.quotient, d - 1)
 
-    forget_cols = [pair.embed_supported(d, r) for r in rel.representatives]
-    forget = _matrix_of(forget_cols, ab)
+    sup, qt = pair._supported_at(d), pair._quot_at(d)
+    forget = ab._coordinates(pair._inclusion(d, sup) * rel._reps)
+    restrict = quot._coordinates(ab._reps._submatrix(qt, range(ab.dim)))
 
-    restrict_cols = [pair.restrict_quotient(d, r) for r in ab.representatives]
-    restrict = _matrix_of(restrict_cols, quot)
-
-    connect_cols: list[Vector] = []
-    for u in quot_prev.representatives:
-        ext = pair.embed_quotient(d - 1, u)
-        w = pair.absolute.differential(d - 1).apply(ext)
-        if not pair.is_supported(d, w):
-            raise RuntimeError("connecting zig-zag left the supported subspace")
-        connect_cols.append(pair.restrict_supported(d, w))
-    connect = _matrix_of(connect_cols, rel)
+    # extend each quotient cocycle by zero and take its coboundary
+    ext = pair._inclusion(d - 1, pair._quot_at(d - 1)) * quot_prev._reps
+    w = pair.absolute.differential(d - 1) * ext
+    if not w._submatrix(qt, range(w.cols)).is_zero():
+        raise RuntimeError("connecting zig-zag left the supported subspace")
+    connect = rel._coordinates(w._submatrix(sup, range(w.cols)))
 
     return LESData(pair, d, rel, ab, quot, quot_prev, forget, restrict, connect)
 

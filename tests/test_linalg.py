@@ -7,6 +7,7 @@ every downstream basis.  The dense Gauss-Jordan kept below is the oracle
 that the sparse kernel behind ``Matrix`` is checked against.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,38 @@ def test_exact_sum_canonicalizes():
     b = frac("6/4") - frac("1")
     assert a == b == Fraction(1, 2)
     assert str(b) == "1/2"
+
+
+def test_entry_and_row_refuse_indices_outside_the_shape():
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    assert (m.entry(1, 0), m.row(1), m.column(1)) == (3, vec([3, 4]), vec([2, 4]))
+    for i, j in ((0, 2), (-1, 0), (2, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            m.entry(i, j)
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            m.row(i)
+    with pytest.raises(IndexError):
+        m.column(2)
+
+
+def test_from_columns_refuses_ragged_columns():
+    for cols in ([[1, 2], [3, 4, 5]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="ragged columns"):
+            Matrix.from_columns(cols, rows=2)
+    assert Matrix.from_columns([[1, 2], [3, 4]]) == Matrix.from_rows([[1, 3], [2, 4]])
+    assert Matrix.from_columns([[], []]).cols == 2
+
+
+def test_zero_matrix_stores_no_cells():
+    tracemalloc.start()
+    try:
+        m = Matrix.zeros(2000, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert m.is_zero() and m.entry(1999, 1999) == 0
 
 
 def test_rref_identity():
@@ -253,6 +286,7 @@ def dense_solve(m: Matrix, b) -> tuple | None:
 def test_sparse_kernel_matches_dense_oracle(m, data):
     reduced, pivots = dense_rref(m)
     assert m.rref() == (reduced, pivots)
+    assert hash(m.rref()[0]) == hash(reduced)
     assert all(type(x) is Fraction for i in range(m.rows) for x in m.rref()[0].row(i))
     assert m.rank() == len(pivots)
     kernel = m.kernel_basis()
@@ -267,6 +301,14 @@ def test_sparse_kernel_matches_dense_oracle(m, data):
     c = data.draw(st.lists(sparse_fracs, min_size=m.cols, max_size=m.cols))
     image = m.apply(c)
     assert m.solve(image) == dense_solve(m, image) is not None
+    # several right-hand sides in one elimination, column by column
+    rhs = [image, b, image]
+    want = [dense_solve(m, v) for v in rhs]
+    got = m._solve(Matrix.from_columns(rhs, rows=m.rows))
+    if None in want:
+        assert got is None
+    else:
+        assert [got.column(j) for j in range(len(rhs))] == want
 
 
 def test_sparse_kernel_degenerate_shapes():

@@ -275,10 +275,36 @@ def test_pair_from_selection_matches_relative_complex():
 
 
 def test_pair_rejects_unclosed_subspace():
+    leak = "differential leaks out of the supported subspace in degree"
     c = cochain_complex(circle())
     # degree-0 index 0 maps into edges outside the chosen degree-1 set
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=leak + " 0"):
         CochainPair(c, [[0], []])
+    # the 1-simplex: the coboundary of a vertex is +-1 on the edge
+    edge = cochain_complex(SimplicialComplex.closure(["a", "b"], [[0, 1]])[0])
+    with pytest.raises(ValueError, match=leak + " 0"):
+        CochainPair(edge, [[0], []])
+    # its tensor square: vertex x edge maps onto the square, not supported
+    with pytest.raises(ValueError, match=leak + " 1"):
+        CochainPair(tensor_complex(edge, edge), [[], [0], []])
+
+
+def test_pair_from_selection_validates_once(monkeypatch):
+    calls = []
+    validate = SimplicialComplex.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SimplicialComplex, "validate", counting)
+    cx = circle()
+    CochainPair.from_selection(cx, cx.full_subcomplex([0, 2]))
+    assert calls == [cx]
+    # an invalid complex is refused before the selection is looked at
+    bad = SimplicialComplex(["a", "b"], {1: [(0, 1)]})
+    with pytest.raises(InvalidComplex):
+        CochainPair.from_selection(bad, cx.full_subcomplex([0]))
 
 
 def test_pair_embed_restrict_roundtrip():
