@@ -348,7 +348,19 @@ def parse_abbv_input(obj) -> tuple[list[FixedComponent], list[EquivariantElement
     return components, restrictions
 
 
+# Bound on the exponent span of a K-theory sum: the span of the fiber
+# exponents over all points plus sum |w| over all conormals, counted in each
+# variable and added up.  The polynomials a sum builds, and so its time and
+# memory, grow with this span.
+MAX_KTHEORY_SPAN = 2**20
+
+
 def parse_ktheory_input(obj) -> list[KFixedPoint]:
+    """Fixed points from {'num_vars': r, 'points': [...]}.
+
+    Sums whose exponent span could pass MAX_KTHEORY_SPAN are refused
+    before any work on them starts.
+    """
     from .ktheory import KFixedPoint, LaurentPoly
 
     obj = _expect_object(obj, "input")
@@ -371,4 +383,14 @@ def parse_ktheory_input(obj) -> list[KFixedPoint]:
             points.append(KFixedPoint(fiber, conormals))
         except Exception as exc:
             raise ValidationError(f"{where}: {exc}") from None
+    span = sum(abs(x) for p in points for w in p.conormals for x in w)
+    for i in range(nv):
+        exps = [e[i] for p in points for e in p.fiber.terms]
+        if exps:
+            span += max(exps) - min(exps)
+    if span > MAX_KTHEORY_SPAN:
+        raise ValidationError(
+            f"input: the exponent span of the sum (fiber exponents plus the "
+            f"conormal weights) is {span}; the bound is {MAX_KTHEORY_SPAN}"
+        )
     return points

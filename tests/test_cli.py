@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,13 @@ import torloc
 from torloc import cli
 from torloc.cli import emit, main
 from torloc.equivariant import EquivariantElement
-from torloc.io import ValidationError, parse_abbv_input, parse_complex, parse_json_text
+from torloc.io import (
+    ValidationError,
+    parse_abbv_input,
+    parse_complex,
+    parse_json_text,
+    parse_ktheory_input,
+)
 
 DATASETS = Path(torloc.__file__).parent / "datasets"
 
@@ -211,6 +218,50 @@ def test_closure_bound_counts_distinct_generators():
     obj["simplices"].append([16, 0])
     with pytest.raises(ValidationError, match="the bound is 65536"):
         parse_complex(obj)
+
+
+def wide_pair(w, d=0):
+    """P^1 along the weights 0 and w, twisted by O(d)."""
+    return {"num_vars": 1, "points": [
+        {"fiber": {"0": 1}, "conormal": [[-w]]},
+        {"fiber": {str(-d * w): 1}, "conormal": [[w]]},
+    ]}
+
+
+def test_oversized_ktheory_span_exits_two_at_once(capsys, tmp_path):
+    # weights +-10^7: the sum would work over 2 * 10^7 exponents
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(wide_pair(10**7)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ktheory", "--input", p)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "is 20000000" in err and "the bound is 1048576" in err
+
+
+def test_wide_pair_under_the_span_bound_collapses(capsys, tmp_path):
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(wide_pair(10**5, 1)))
+    code, rep, _ = run_json(capsys, "ktheory", "--input", p)
+    assert code == 0
+    assert rep["character"] == "1 + t^-100000"
+    assert rep["value_at_one"] == "2"
+
+
+def test_ktheory_span_bound_counts_fibers_and_conormals():
+    # conormals of weight +-2^19 sum to 2^20, exactly at the bound
+    obj = wide_pair(2**19)
+    assert len(parse_ktheory_input(obj)) == 2
+    obj["points"][1]["fiber"] = {"1": 1}
+    with pytest.raises(ValidationError, match="is 1048577; the bound is 1048576"):
+        parse_ktheory_input(obj)
+    # each variable counts: 2^19 + 2^19 in one weight, then a fiber span of 1
+    flat = {"num_vars": 2, "points": [{"fiber": {"0,0": 1}, "conormal": [[2**19, -2**19]]}]}
+    assert len(parse_ktheory_input(flat)) == 1
+    flat["points"][0]["fiber"] = {"0,0": 1, "0,1": 1}
+    with pytest.raises(ValidationError, match="the bound is 1048576"):
+        parse_ktheory_input(flat)
 
 
 def test_negative_degree_exits_two(capsys):

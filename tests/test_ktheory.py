@@ -7,16 +7,23 @@ must agree on every multiset of weights, repeats included.
 Euler characteristics of twisted projective spaces give the end-to-end
 check: binomial values in the ample range, zeros in the acyclic window,
 and the sign-flipped binomials below it.
+
+The univariate sum over a factored LCM has a slow oracle kept here: the
+running sum that adds one fraction at a time and reduces after each
+addition by a dense gcd.  The two must give the same numerator,
+denominator and printed form.
 """
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torloc import ktheory
 from torloc.ktheory import (
     KFixedPoint,
     LaurentPoly,
@@ -250,3 +257,125 @@ def test_duality_pairs_exactly():
                 fixed_point_sum(projective_space_dataset(n, -d - n - 1))
             )
             assert minus == (-1) ** n * plus
+
+
+# -- the factored sum against the running-sum oracle -------------------------
+
+
+def running_sum_oracle(points):
+    """Add fiber / lambda_-1 one point at a time, reducing after each step."""
+    total = LaurentRational.zero(points[0].num_vars)
+    for p in points:
+        total = total + LaurentRational(p.fiber, lambda_minus_one(p))
+    return total
+
+
+def assert_matches_oracle(points):
+    got = fixed_point_sum(points)
+    want = running_sum_oracle(points)
+    assert got.num == want.num
+    assert got.den == want.den
+    assert str(got) == str(want)
+    return got
+
+
+def pm_pair(w, d):
+    """P^1 along weights 0 and w: the sum is 1 + t^-w + ... + t^-dw."""
+    return [KFixedPoint(LaurentPoly.one(1), [(-w,)]), KFixedPoint(mono(-d * w), [(w,)])]
+
+
+WEIGHTS = [s * a for a in (1, 2, 3, 4, 6, 12) for s in (1, -1)]
+
+rationals = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+)
+
+
+@st.composite
+def univariate_points(draw):
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        fiber = LaurentPoly(1, draw(st.dictionaries(
+            st.tuples(st.integers(min_value=-8, max_value=8)), rationals, max_size=3)))
+        conormals = draw(st.lists(st.sampled_from(WEIGHTS), max_size=4))
+        points.append(KFixedPoint(fiber, [(w,) for w in conormals]))
+    if draw(st.booleans()):
+        # the same point with the opposite fiber: a sum that can cancel to 0
+        p = draw(st.sampled_from(points))
+        points.append(KFixedPoint(-p.fiber, p.conormals))
+    return points
+
+
+@given(points=univariate_points())
+@settings(max_examples=300, deadline=None)
+def test_factored_sum_matches_the_running_sum(points):
+    assert_matches_oracle(points)
+
+
+def test_factored_sum_matches_on_open_poles_and_zero_sums():
+    half = Fraction(1, 2)
+    pole = [KFixedPoint(mono(0, half), [(1,), (2,)]), KFixedPoint(mono(3), [(-4,), (6,), (6,)])]
+    f = assert_matches_oracle(pole)
+    assert is_character(f) is None
+    zero = pole + [KFixedPoint(-p.fiber, p.conormals) for p in pole]
+    assert assert_matches_oracle(zero).is_zero()
+    assert str(fixed_point_sum(zero)) == "0"
+    # no conormals at all: the sum is the sum of the fibers
+    bare = [KFixedPoint(poly({-2: 3, 5: Fraction(-1, 3)}), [])]
+    assert str(assert_matches_oracle(bare)) == "-1/3*t^5 + 3*t^-2"
+
+
+def test_factored_sum_matches_on_projective_spaces():
+    for n in range(1, 7):
+        for d in range(-n - 3, 5):
+            assert_matches_oracle(projective_space_dataset(n, d))
+
+
+@pytest.mark.parametrize("w", [1000, 30030])
+@pytest.mark.parametrize("d", [0, 1])
+def test_factored_sum_matches_on_wide_weight_pairs(w, d):
+    f = assert_matches_oracle(pm_pair(w, d))
+    assert is_character(f) == poly({-k * w: 1 for k in range(d + 1)})
+
+
+def test_psi_factors_multiply_to_the_binomial():
+    # prod over k | n of Psi_k = 1 - t^n, and every Psi_k has constant term 1
+    for n in range(1, 61):
+        product = LaurentPoly.one(1)
+        for k in ktheory._divisors(n):
+            psi = ktheory._times({0: 1}, ktheory._psi(k))
+            assert psi[0] == 1
+            product = product * poly(psi)
+        assert product == poly({0: 1, n: -1})
+
+
+def test_binomial_division_reports_a_remainder():
+    assert ktheory._binomial_divide({0: 1, 6: -1}, 3) == {0: 1, 3: 1}
+    assert ktheory._binomial_divide({0: 1, 5: -1}, 3) is None
+    assert ktheory._binomial_divide({-4: 2, 1: -2}, 5) == {-4: 2}
+
+
+def test_a_dropped_factor_fails_the_check_at_two(monkeypatch):
+    points = [KFixedPoint(LaurentPoly.one(1), [(1,), (2,)])]
+    assert str(fixed_point_sum(points)) == "(1) / (t^3 - t^2 - t + 1)"
+    cancel = ktheory._cancel
+
+    def drop_psi_2(*args):
+        num, den = cancel(*args)
+        return num, ktheory._times(den, {1: 1, 2: -1})
+
+    monkeypatch.setattr(ktheory, "_cancel", drop_psi_2)
+    with pytest.raises(RuntimeError, match="t = 2"):
+        fixed_point_sum(points)
+
+
+def test_wide_pair_builds_nothing_span_sized():
+    points = pm_pair(10**5, 0)
+    tracemalloc.start()
+    try:
+        f = fixed_point_sum(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(f) == "1"
+    assert peak < 10**6
